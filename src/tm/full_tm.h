@@ -181,9 +181,6 @@ class FullTm {
           return value;
         } else {
           desc_->read_log.PushBack(&orec, o1);
-          if constexpr (kStrategicReads) {
-            state_.NoteRead(&orec);
-          }
           // No snapshot number to compare against: preserve opacity by revalidating
           // the read set after every read (§4.1, the "-l" cost). Fast path: the
           // entry just appended was read through an orec-data-orec sandwich, so it
@@ -200,7 +197,8 @@ class FullTm {
           if (desc_->read_log.Size() > 1) {
             bool ok;
             if constexpr (kStrategicReads) {
-              if (state_.TrySkipRead(&desc_->stats) ==
+              if (state_.TrySkipRead(&desc_->stats, desc_->read_log.Size(),
+                                     LoggedOrecs()) ==
                   StratState::ReadSkip::kSkipped) {
                 ok = true;
               } else {
@@ -324,7 +322,9 @@ class FullTm {
         // under kBloom/kStripe foreign commits in (sample, own_idx) may
         // intervene as long as their write blooms miss our read bloom. Our own
         // commit locks pin the write set regardless.
-        if (!skip_validation && state_.TrySkipCommit(own_idx, write_stripes)) {
+        if (!skip_validation &&
+            state_.TrySkipCommit(own_idx, write_stripes, desc_->read_log.Size(),
+                                 LoggedOrecs())) {
           skip_validation = true;
         }
       }
@@ -366,6 +366,12 @@ class FullTm {
       active_ = false;
       conflicted_ = true;
       return 0;
+    }
+
+    // The read log's orecs (the SoA pointer lane), as StrategyState's skip
+    // calls take them for the lazy signature fold.
+    auto LoggedOrecs() const {
+      return [ptrs = desc_->read_log.Ptrs()](std::size_t i) { return ptrs[i]; };
     }
 
     // Commit-time validation: the plain conservative single walk (a foreign lock

@@ -174,15 +174,12 @@ class ShortTm {
         // The tracked walk runs AFTER the push so the entry just read is covered
         // by the re-anchored sample too (valstrategy.h tail rule); the passive
         // walk keeps the seed's prefix-only shape, whose result is not reused.
-        if constexpr (kStrategic) {
-          state_.NoteRead(&orec);
-        }
         bool prefix_ok = true;
         if constexpr (kStrategic) {
           const bool first_ro = ro_.Empty();
           ro_.PushBack(RoEntry{s, &orec, OrecVersionOf(o1)});
           if (!first_ro &&
-              state_.TrySkipRead(&desc_->stats) ==
+              state_.TrySkipRead(&desc_->stats, ro_.Size(), LoggedOrecs()) ==
                   StratState::ReadSkip::kMustWalk) {
             prefix_ok = ValidateRoPrefixTracked(ro_.Size());
           }
@@ -211,7 +208,8 @@ class ShortTm {
       if constexpr (kStrategic) {
         // No EWMA feedback here (nullptr): the final validate is not a per-read
         // skip opportunity the adaptive engine should learn from.
-        if (state_.TrySkipRead(nullptr) == StratState::ReadSkip::kSkipped) {
+        if (state_.TrySkipRead(nullptr, ro_.Size(), LoggedOrecs()) ==
+            StratState::ReadSkip::kSkipped) {
           return true;
         }
         return ValidateRoPrefixTracked(ro_.Size());
@@ -292,7 +290,8 @@ class ShortTm {
         } else {
           unsigned write_stripes = 0;
           const Word own_idx = PublishWriterSummary(&write_stripes);
-          if (state_.TrySkipCommit(own_idx, write_stripes)) {
+          if (state_.TrySkipCommit(own_idx, write_stripes, ro_.Size(),
+                                   LoggedOrecs())) {
             ro_ok = true;
           } else {
             // Plain conservative walk: a foreign lock fails it, which the
@@ -383,6 +382,12 @@ class ShortTm {
     // Odd (locked-looking) and never a valid owner pointer: cannot collide with a
     // genuine displaced orec word, which is always an even version.
     static constexpr Word kAlreadyOwned = ~Word{0};
+
+    // The RO log's orecs, as StrategyState's skip calls take them for the lazy
+    // signature fold.
+    auto LoggedOrecs() const {
+      return [this](std::size_t i) { return ro_[i].orec; };
+    }
 
     // Re-arms the strategy state for a fresh attempt (StrategyState: choose +
     // probe tick + anchor drawn BEFORE any read — the skip soundness argument

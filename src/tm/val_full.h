@@ -156,9 +156,6 @@ class ValFullTm {
         CpuRelax();
       }
       desc_->val_read_log.PushBack(&s->word, w);
-      if constexpr (kStrategic) {
-        state_.NoteRead(&s->word);
-      }
       // Per-read revalidation — the val-full cost highlighted in Figure 5 — with
       // strategy-dependent fast paths:
       //   * a one-entry log is trivially consistent (a single location);
@@ -169,10 +166,12 @@ class ValFullTm {
       //     valid, so the entry just appended joins a still-valid snapshot;
       //   * under kBloom, a moved counter still skips the walk when every
       //     intervening commit's write bloom is disjoint from this read set
-      //     (the anchor then advances to the current counter).
+      //     (the anchor then advances to the current counter). The read
+      //     signature is folded from the log only then (StrategyState).
       if (desc_->val_read_log.Size() > 1) {
         if constexpr (kStrategic) {
-          if (state_.TrySkipRead(&desc_->stats) ==
+          if (state_.TrySkipRead(&desc_->stats, desc_->val_read_log.Size(),
+                                 LoggedWords()) ==
               StratState::ReadSkip::kSkipped) {
             return w;
           }
@@ -304,7 +303,9 @@ class ValFullTm {
       // their write blooms miss our read bloom.
       bool skip_walk = false;
       if constexpr (kStrategic) {
-        skip_walk = state_.TrySkipCommit(own_idx, write_stripes);
+        skip_walk = state_.TrySkipCommit(own_idx, write_stripes,
+                                         desc_->val_read_log.Size(),
+                                         LoggedWords());
       }
       if (!skip_walk && !ValidateReads()) {
         return false;
@@ -351,6 +352,14 @@ class ValFullTm {
       return 0;
     }
 
+    // The read log's metadata words (the SoA pointer lane), as StrategyState's
+    // skip calls take them for the lazy signature fold.
+    auto LoggedWords() const {
+      return [ptrs = desc_->val_read_log.Ptrs()](std::size_t i) {
+        return ptrs[i];
+      };
+    }
+
     // --- MVCC snapshot machinery (compiled only under kSnapshotMode) ---------
 
     // One read in snapshot phase: the chain read at the pinned stamp, logged
@@ -364,9 +373,6 @@ class ValFullTm {
           ++probe.snapshot_reads;
           probe.version_hops += static_cast<std::uint64_t>(r.hops);
           desc_->val_read_log.PushBack(&s->word, r.value);
-          if constexpr (kStrategic) {
-            state_.NoteRead(&s->word);
-          }
           return r.value;
         }
         if (!RefreshSnapshot()) {

@@ -133,9 +133,6 @@ class ValShortTm {
       // are pinned by our locks), so only subsequent reads pay the revalidation.
       const bool first_ro = ro_.Empty();
       ro_.PushBack(RoEntry{s, w, /*upgraded=*/false});
-      if constexpr (kStrategic) {
-        state_.NoteRead(&s->word);
-      }
       if (!first_ro) {
         // Strategy fast paths (valstrategy.h StrategyState): the persistent
         // anchor names a counter value at which the whole RO log was
@@ -146,7 +143,7 @@ class ValShortTm {
         // snapshot.
         bool ok;
         if constexpr (kStrategic) {
-          ok = state_.TrySkipRead(&desc_->stats) ==
+          ok = state_.TrySkipRead(&desc_->stats, ro_.Size(), LoggedWords()) ==
                    StratState::ReadSkip::kSkipped ||
                ValidateRo();
         } else {
@@ -264,7 +261,9 @@ class ValShortTm {
         } else {
           unsigned write_stripes = 0;
           own_idx = PublishWriterSummary(&write_stripes);
-          ro_ok = state_.TrySkipCommit(own_idx, write_stripes) || ValidateRo();
+          ro_ok = state_.TrySkipCommit(own_idx, write_stripes, ro_.Size(),
+                                       LoggedWords()) ||
+                  ValidateRo();
         }
       } else {
         ro_ok = ValidateRo();
@@ -346,6 +345,12 @@ class ValShortTm {
       Word value;
       bool upgraded;
     };
+
+    // The RO log's metadata words, as StrategyState's skip calls take them for
+    // the lazy signature fold.
+    auto LoggedWords() const {
+      return [this](std::size_t i) { return &ro_[i].slot->word; };
+    }
 
     // Re-arms the strategy state for a fresh attempt (StrategyState: choose +
     // probe tick + anchor drawn BEFORE any read — the skip soundness argument
@@ -531,9 +536,6 @@ class ValShortTm {
           ++probe.snapshot_reads;
           probe.version_hops += static_cast<std::uint64_t>(r.hops);
           ro_.PushBack(RoEntry{s, r.value, /*upgraded=*/false});
-          if constexpr (kStrategic) {
-            state_.NoteRead(&s->word);
-          }
           return r.value;
         }
         if (!RefreshShortSnapshot()) {

@@ -14,11 +14,14 @@
 //     Cheapest when writer commits are rare relative to this thread's reads.
 //
 //   kBloom — counter skip plus a bloom-summary pre-filter: each writer publishes a
-//     32-bit bloom of its write set into a ring indexed by its counter bump; a
-//     reader whose counter went stale intersects its own read-set bloom with the
-//     blooms of the intervening commits and still skips the walk when they are
-//     disjoint. Rescues the skip under write traffic that does not touch this
-//     reader's read set, at the cost of maintaining the read bloom per read.
+//     128-bit, 2-hash bloom (Bloom128) of its write set into a ring indexed by its
+//     counter bump; a reader whose counter went stale intersects its own read-set
+//     bloom with the blooms of the intervening commits and still skips the walk
+//     when they are disjoint. Rescues the skip under write traffic that does not
+//     touch this reader's read set. The read bloom costs nothing while the
+//     counter holds still: it is folded from the read log only when a skip test
+//     first finds the counter moved (StrategyState's lazy signature), so a
+//     quiet domain never hashes a read.
 //
 //   kIncremental — the paper's baseline: walk the read set, no shared-counter
 //     reliance. The fallback when contention is high enough that summaries rarely
@@ -85,6 +88,8 @@
 #define SPECTM_TM_VALSTRATEGY_H_
 
 #include <atomic>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 
 #include "src/common/cacheline.h"
@@ -133,8 +138,8 @@ inline const char* ValStrategyName(ValStrategy s) {
 // EWMA thresholds for the adaptive choice, Q16 (65536 = 100% abort rate).
 //   < ~3%  aborts: contention is rare; the bare counter skip almost always fires
 //           and bloom maintenance would be pure overhead.
-//   < 25%  aborts: writers are active; pay the per-read bloom OR so disjoint write
-//           traffic still skips the walk.
+//   < 25%  aborts: writers are active; pay for folding the read bloom so disjoint
+//           write traffic still skips the walk.
 //   >= 25% aborts: walks happen regardless; stop paying for summaries.
 //
 // Each band edge is a hysteresis PAIR (the GV6 clock.h pattern): crossing the
@@ -376,7 +381,9 @@ class WriterRing {
   // Stripes where `read_bloom` has no bits are skipped entirely — whatever a
   // writer published there cannot intersect an empty stripe, and tag freshness
   // is judged on the stripes actually consulted. (A fully empty read bloom means
-  // an empty — trivially consistent — read set; vacuous success is correct.)
+  // an empty — trivially consistent — read set, so vacuous success is correct;
+  // that relies on the bloom covering the whole log, which StrategyState's fold
+  // guarantees before every probe.)
   //
   // Tag-wrap bound (pver.h-style documented risk): the publication tag keeps the
   // low 32 bits of the commit index, so a writer preempted between its counter
@@ -610,10 +617,21 @@ struct ValProbe {
 // previously open-coded in each with small drift; the ROADMAP refactor item).
 // Owns the choose/probe-tick at attempt start, the persistent counter anchor
 // (global sample AND, for partitioned summaries, the per-stripe sample vector),
-// the read bloom + read-stripe mask, and the counter/stripe/bloom/walk skip
-// quartet with its efficacy-EWMA feedback. SummaryT is anything satisfying the
-// summary concept (WriterSummary, or a ValidationPolicy from val_word.h); ProbeT
-// is the family's ValProbe.
+// the read signature (read bloom + read-stripe mask), and the
+// counter/stripe/bloom/walk skip quartet with its efficacy-EWMA feedback.
+// SummaryT is anything satisfying the summary concept (WriterSummary, or a
+// ValidationPolicy from val_word.h); ProbeT is the family's ValProbe.
+//
+// The read signature is LAZY. Engines never report individual reads; each skip
+// call instead receives the engine's read log as (size, addr_at), where
+// addr_at(i) is entry i's metadata word. Only once the global counter test has
+// failed — the one point where the signature is consulted — are the entries
+// past a fold cursor hashed into the bloom and stripe mask. The invariant is
+// "consulted signature ⊇ the signature of every logged entry": the cursor
+// advances only over folded entries and is reset with the log at attempt
+// start, so each consult sees exactly what per-read accumulation would have
+// built, and each entry is hashed at most once per attempt. A quiet domain,
+// where the counter test always holds, never hashes a read.
 //
 // The anchor invariant every user maintains: `sample()` (when `sample_valid()`)
 // names a summary-counter value at which the ENTIRE read log was simultaneously
@@ -645,9 +663,10 @@ class StrategyState {
 
   // Re-arms for a fresh attempt: pick the strategy from the descriptor EWMAs
   // (hysteretic band edges keyed off the thread's previous steady choice, with
-  // the periodic skip-efficacy probe under kAdaptive), reset the read bloom and
-  // stripe mask, and anchor the persistent sample BEFORE any read (the skip
-  // soundness argument needs the anchor drawn no later than the first read).
+  // the periodic skip-efficacy probe under kAdaptive), reset the read signature
+  // and its fold cursor (the caller has just emptied its read log), and anchor
+  // the persistent sample BEFORE any read (the skip soundness argument needs
+  // the anchor drawn no later than the first read).
   void StartAttempt(ValMode mode, bool has_bloom_ring, const TxStats& stats) {
     typename ProbeT::Counters& probe = ProbeT::Get();
     strat_ = ChooseStrategy(mode, has_bloom_ring, AbortEwmaQ16(stats),
@@ -670,14 +689,13 @@ class StrategyState {
     ProbeT::OnStrategyChosen(strat_);
     read_bloom_ = Bloom128{};
     read_stripe_mask_ = 0;
+    folded_ = 0;
     Anchor();
   }
 
   ValStrategy strategy() const { return strat_; }
   Word sample() const { return sample_; }
   bool sample_valid() const { return sample_valid_; }
-  const Bloom128& read_bloom() const { return read_bloom_; }
-  unsigned read_stripe_mask() const { return read_stripe_mask_; }
 
   void Anchor() const {
     sample_ = SummaryT::Sample();
@@ -694,28 +712,19 @@ class StrategyState {
     }
   }
 
-  // Accumulates a just-read location's signature (bloom/stripe strategies only;
-  // the other strategies never consult it, so the OR would be dead work). Under
-  // kStripe both the bloom (for the ring fallback) and the stripe-occupancy mask
-  // (for the per-stripe skip) are maintained.
-  void NoteRead(const void* metadata_word) {
-    if (strat_ == ValStrategy::kBloom || strat_ == ValStrategy::kStripe) {
-      read_bloom_ |= AddrBloom128(metadata_word);
-    }
-    if (strat_ == ValStrategy::kStripe) {
-      read_stripe_mask_ |= 1u << CounterStripeOf(metadata_word);
-    }
-  }
-
   // The skip paths, cheapest first: stable global counter, then (partitioned)
   // stable READ-occupied stripes, then ring disjointness, else walk. The stripe
-  // test is consulted before the ring on purpose (the ISSUE's probe order): a
-  // vector compare against private-ish lines beats scanning ring lanes, and it
-  // keeps working after the read bloom has saturated the ring's filter. Updates
-  // the skip-efficacy EWMA when `ewma_stats` is non-null (per-read call sites
-  // feed the adaptive engine; final-validation call sites pass nullptr, matching
-  // the engines' historical behavior).
-  ReadSkip TrySkipRead(TxStats* ewma_stats) const {
+  // test is consulted before the ring on purpose: a vector compare against
+  // private-ish lines beats scanning ring lanes, and it keeps working after the
+  // read bloom has saturated the ring's filter. `log_size`/`addr_at` view the
+  // caller's whole read log (see the class comment); the signature is folded
+  // from it only past the counter test. Updates the skip-efficacy EWMA when
+  // `ewma_stats` is non-null (per-read call sites feed the adaptive engine;
+  // final-validation call sites pass nullptr, matching the engines' historical
+  // behavior).
+  template <typename AddrAt>
+  ReadSkip TrySkipRead(TxStats* ewma_stats, std::size_t log_size,
+                       const AddrAt& addr_at) const {
     const bool skippable =
         strat_ != ValStrategy::kIncremental && sample_valid_;
     if (skippable && SummaryT::Stable(sample_)) {
@@ -724,6 +733,9 @@ class StrategyState {
         UpdateSkipEwma(*ewma_stats, /*skipped=*/true);
       }
       return ReadSkip::kSkipped;
+    }
+    if (skippable) {
+      FoldSignature(log_size, addr_at);
     }
     if constexpr (SummaryT::kPartitioned) {
       if (skippable && strat_ == ValStrategy::kStripe && stripe_valid_ &&
@@ -770,7 +782,10 @@ class StrategyState {
   // and writers bumping those stripes afterwards validate against this writer's
   // already-visible locks (the per-stripe crossing-committer argument,
   // docs/VALIDATION.md). The bloom arm exists only where the summary has a ring.
-  bool TrySkipCommit(Word own_idx, unsigned write_stripe_mask = 0) const {
+  // `log_size`/`addr_at` view the read log, as for TrySkipRead.
+  template <typename AddrAt>
+  bool TrySkipCommit(Word own_idx, unsigned write_stripe_mask,
+                     std::size_t log_size, const AddrAt& addr_at) const {
     if (strat_ == ValStrategy::kIncremental || !sample_valid_) {
       return false;
     }
@@ -781,6 +796,7 @@ class StrategyState {
       ++ProbeT::Get().counter_skips;
       return true;
     }
+    FoldSignature(log_size, addr_at);
     if constexpr (SummaryT::kPartitioned) {
       if (strat_ == ValStrategy::kStripe && stripe_valid_ &&
           StripesUnchangedWithOwn(write_stripe_mask)) {
@@ -854,9 +870,29 @@ class StrategyState {
   }
 
  private:
+  // Brings the read signature up to the whole log: hashes entries
+  // [folded_, log_size) into the bloom (bloom/stripe strategies; the others never
+  // consult it) and, under kStripe, the stripe-occupancy mask. Logs only grow
+  // within an attempt, so a cursor past the log means a missed StartAttempt.
+  template <typename AddrAt>
+  void FoldSignature(std::size_t log_size, const AddrAt& addr_at) const {
+    assert(folded_ <= log_size && "read log cleared without StartAttempt");
+    if (strat_ != ValStrategy::kBloom && strat_ != ValStrategy::kStripe) {
+      return;
+    }
+    for (; folded_ < log_size; ++folded_) {
+      const void* metadata_word = addr_at(folded_);
+      read_bloom_ |= AddrBloom128(metadata_word);
+      if (strat_ == ValStrategy::kStripe) {
+        read_stripe_mask_ |= 1u << CounterStripeOf(metadata_word);
+      }
+    }
+  }
+
   // True iff every READ-occupied stripe counter equals its anchor component.
   // An empty mask is vacuously stable (an empty — trivially consistent — read
-  // set, mirroring the empty-read-bloom note on WriterRing::RangeDisjoint).
+  // set, mirroring the empty-read-bloom note on WriterRing::RangeDisjoint); the
+  // callers fold the signature first, so the mask covers the whole log.
   bool StripesUnchanged() const {
     for (int s = 0; s < kCounterStripes; ++s) {
       if (((read_stripe_mask_ >> s) & 1u) != 0 &&
@@ -887,8 +923,9 @@ class StrategyState {
 
   mutable Word sample_ = 0;
   mutable StripeSample stripe_sample_;
-  Bloom128 read_bloom_;
-  unsigned read_stripe_mask_ = 0;
+  mutable Bloom128 read_bloom_;
+  mutable unsigned read_stripe_mask_ = 0;
+  mutable std::size_t folded_ = 0;  // read-log entries already in the signature
   ValStrategy strat_ = ValStrategy::kIncremental;
   mutable bool sample_valid_ = false;
   mutable bool stripe_valid_ = false;

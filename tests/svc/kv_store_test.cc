@@ -1,9 +1,9 @@
 // Service-level battery for the sharded KV store (src/svc/kv_store.h):
 // batched-transaction correctness and conservation under concurrency across
-// all four service engine families, plus the deterministic probe rows the
-// ISSUE pins — one descriptor per batch (amortization), stripe_skips on
-// region-local batches (partitioned counter), and simd_batches on wide batch
-// validation (read-log batch kernel).
+// all four service engine families, plus deterministic probe rows — one
+// descriptor per batch (amortization), stripe_skips on region-local batches
+// (partitioned counter), counter-only skips on quiet single-client batches,
+// and simd_batches on wide batch validation (read-log batch kernel).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/soa_log.h"
 #include "src/svc/driver.h"
 #include "src/svc/kv_store.h"
 #include "src/tm/config.h"
@@ -276,6 +277,51 @@ TEST(KvStoreStripes, RegionLocalBatchSkipsViaStripeCounters) {
       << "region-local batch reads must be absorbed by the stripe vector";
   EXPECT_EQ(Probe::Get().validation_walks, 0u)
       << "cross-stripe churn must not force a read-set walk";
+}
+
+// The quiet path: with one client and no foreign commits the global counter
+// never moves inside a batch, so every read past the first is absorbed by the
+// counter test alone — no walk, and neither the stripe nor the ring rung (the
+// rungs that consult the lazily folded read signature) is ever reached.
+TEST(KvStoreStripes, QuietBatchesSkipOnTheCounterAlone) {
+  using F = SvcVal;
+  using Probe = F::Full::Probe;
+  KvStore<F> store;
+  std::vector<std::uint64_t> all(1024), vals(1024);
+  for (std::uint64_t k = 0; k < 1024; ++k) {
+    all[k] = k;
+    vals[k] = 5 * k;
+  }
+  store.BatchPut(all.data(), vals.data(), all.size());
+
+  Probe::Reset();
+  const SoaReadLog& log = DescOf<ValDomainTag>().val_read_log;
+  std::uint64_t expected_skips = 0;
+  std::uint64_t out[16];
+  bool found[16];
+  for (std::uint64_t b = 0; b < 8; ++b) {
+    std::uint64_t keys[16];
+    for (std::uint64_t i = 0; i < 16; ++i) {
+      keys[i] = (b * 131 + i * 61) % 1024;  // spread over every shard
+    }
+    store.BatchGet(keys, 16, out, found);
+    for (std::size_t i = 0; i < 16; ++i) {
+      ASSERT_TRUE(found[i]);
+      EXPECT_EQ(out[i], 5 * keys[i]);
+    }
+    // The batch's read log is left in the descriptor until the next Start.
+    ASSERT_GE(log.Size(), 2u * 16u) << "a bucket head and a value per key";
+    expected_skips += log.Size() - 1;
+
+    EXPECT_EQ(store.BatchScan(b * 64, 64), 5 * (64 * (b * 64) + 64 * 63 / 2));
+    ASSERT_GE(log.Size(), 2u * 64u);
+    expected_skips += log.Size() - 1;
+  }
+  EXPECT_EQ(Probe::Get().validation_walks, 0u);
+  EXPECT_EQ(Probe::Get().bloom_skips, 0u);
+  EXPECT_EQ(Probe::Get().stripe_skips, 0u);
+  EXPECT_EQ(Probe::Get().counter_skips, expected_skips)
+      << "every read past the first of each batch must skip on the counter";
 }
 
 // Wide batch validation on the orec baseline: OrecL's passive local-clock

@@ -1,8 +1,9 @@
 // Adaptive validation engine (valstrategy.h): EWMA tracking, strategy choice and
 // transitions, the writer-summary bloom ring, and the probe-verified hot-path
 // claims — counter skips firing on unchanged-counter RO reads (short and full
-// transactions, orec and val layouts) and bloom skips rescuing stale counters when
-// the intervening write traffic is disjoint.
+// transactions, orec and val layouts), bloom skips rescuing stale counters when
+// the intervening write traffic is disjoint, and the lazy read signature being
+// folded at every site that consults it.
 #include "src/tm/valstrategy.h"
 
 #include <gtest/gtest.h>
@@ -10,8 +11,11 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "src/structures/hash_tm_full.h"
+#include "src/svc/kv_store.h"
 #include "src/tm/config.h"
 #include "src/tm/txdesc.h"
 #include "src/tm/variants.h"
@@ -768,6 +772,235 @@ TEST(PartitionedSkip, CommitSkipSurvivesDisjointStripeTraffic) {
   EXPECT_GE(Probe::Get().stripe_skips, 1u)
       << "the commit must skip through the per-stripe test, not walk";
   EXPECT_EQ(Probe::Get().validation_walks, 0u);
+}
+
+// --- Lazy read signature: every consult site folds the whole log -------------
+//
+// The read bloom and stripe mask are folded from the read log only when a skip
+// test finds the global counter moved (StrategyState). A consult site that
+// skipped the fold would test an EMPTY (or partial) signature, and an empty
+// signature passes both the stripe test and the ring test vacuously — so each
+// case below plants a real conflict on an entry that only the fold can name,
+// and checks that the skip did not fire. Covered: the per-read consult
+// (TrySkipRead) of full and short transactions, and the commit-time consult
+// (TrySkipCommit) of both, on the stripe (kStripe) and bloom (kBloom)
+// strategies over the val layout, plus the orec-layout engines.
+
+// The metadata word a family's skip signature hashes for `s`.
+template <typename F>
+const void* MetaWordOf(typename F::Slot* s) {
+  if constexpr (std::is_same_v<typename F::Slot, ValSlot>) {
+    return &s->word;
+  } else {
+    return &F::Layout::OrecOf(*s);
+  }
+}
+
+// First slot in `pool` (other than the `avoid` slots) whose metadata word lies
+// in a stripe accepted by `want_stripe` and whose bloom misses `avoid_bloom`.
+template <typename F, std::size_t N, typename StripeOk>
+typename F::Slot* PickSlot(typename F::Slot (&pool)[N], StripeOk want_stripe,
+                           const Bloom128& avoid_bloom) {
+  for (auto& s : pool) {
+    const void* m = MetaWordOf<F>(&s);
+    if (want_stripe(CounterStripeOf(m)) && !AddrBloom128(m).Intersects(avoid_bloom)) {
+      return &s;
+    }
+  }
+  return nullptr;
+}
+
+// One attempt's reads, through a full or a short transaction.
+template <typename F>
+struct FullReads {
+  typename F::FullTx tx;
+  FullReads() { tx.Start(); }
+  ~FullReads() { tx.Commit(); }
+  void Read(typename F::Slot* s) { tx.Read(s); }
+  bool ok() const { return tx.ok(); }
+};
+
+template <typename F>
+struct ShortReads {
+  typename F::ShortTx tx;
+  void Read(typename F::Slot* s) { tx.ReadRo(s); }
+  bool ok() const { return tx.Valid(); }
+};
+
+// Reads X, lets a foreign single-op commit overwrite X, then reads Y in X's
+// stripe (bloom-disjoint from X): the consult on Y must fold X, see X's stripe
+// moved and X's bloom in the ring, walk, and detect the change. With
+// `warm_fold`, an earlier consult (after a bloom- and stripe-disjoint foreign
+// commit, which the first skip absorbs) folds a prefix first, so the failing
+// consult must continue from the fold cursor instead of starting over.
+template <typename F, template <typename> class Reads>
+void RunReadConsultCase(bool warm_fold) {
+  using Probe = typename F::Full::Probe;
+  static typename F::Slot pool[4096];  // spans every 4 KiB stripe region
+  typename F::Slot* x = &pool[0];
+  const int x_stripe = CounterStripeOf(MetaWordOf<F>(x));
+  const Bloom128 x_bloom = AddrBloom128(MetaWordOf<F>(x));
+  typename F::Slot* y =
+      PickSlot<F>(pool, [&](int s) { return s == x_stripe; }, x_bloom);
+  ASSERT_NE(y, nullptr);
+  Bloom128 read_bloom = x_bloom;
+  read_bloom |= AddrBloom128(MetaWordOf<F>(y));
+  typename F::Slot* w =
+      PickSlot<F>(pool, [&](int s) { return s == x_stripe; }, read_bloom);
+  ASSERT_NE(w, nullptr);
+  read_bloom |= AddrBloom128(MetaWordOf<F>(w));
+  typename F::Slot* z =
+      PickSlot<F>(pool, [&](int s) { return s != x_stripe; }, read_bloom);
+  ASSERT_NE(z, nullptr);
+
+  Probe::Reset();
+  bool ok = false;
+  {
+    Reads<F> reads;
+    if (warm_fold) {
+      reads.Read(w);
+      F::SingleWrite(z, EncodeInt(3));  // disjoint: the next consult skips
+    }
+    reads.Read(x);
+    // Foreign commit over a logged entry; a fresh value, since the val layout
+    // validates by value.
+    F::SingleWrite(x, EncodeInt(DecodeInt(F::SingleRead(x)) + 1));
+    reads.Read(y);
+    ok = reads.ok();
+  }
+  const typename Probe::Counters& c = Probe::Get();
+  EXPECT_FALSE(ok) << "the overwritten read of X went undetected";
+  EXPECT_EQ(c.validation_walks, 1u) << "the consult on Y must walk";
+  if constexpr (F::kValMode == ValMode::kPartitioned) {
+    EXPECT_EQ(c.cross_stripe_walks, 1u);
+    EXPECT_EQ(c.stripe_skips, warm_fold ? 1u : 0u);
+    EXPECT_EQ(c.bloom_skips, 0u);
+  } else {
+    EXPECT_EQ(c.stripe_skips, 0u);
+    EXPECT_EQ(c.bloom_skips, warm_fold ? 1u : 0u);
+  }
+}
+
+TEST(LazySignature, FullTxReadConsultFoldsValPart) {
+  RunReadConsultCase<ValPart, FullReads>(false);
+  RunReadConsultCase<ValPart, FullReads>(true);
+}
+
+TEST(LazySignature, FullTxReadConsultFoldsValBloom) {
+  RunReadConsultCase<ValBloom, FullReads>(false);
+  RunReadConsultCase<ValBloom, FullReads>(true);
+}
+
+TEST(LazySignature, ShortTxReadConsultFoldsValPart) {
+  RunReadConsultCase<ValPart, ShortReads>(false);
+  RunReadConsultCase<ValPart, ShortReads>(true);
+}
+
+TEST(LazySignature, ShortTxReadConsultFoldsValBloom) {
+  RunReadConsultCase<ValBloom, ShortReads>(false);
+  RunReadConsultCase<ValBloom, ShortReads>(true);
+}
+
+TEST(LazySignature, ReadConsultFoldsOrecLayout) {
+  for (const bool warm_fold : {false, true}) {
+    RunReadConsultCase<OrecLPart, FullReads>(warm_fold);
+    RunReadConsultCase<OrecLPart, ShortReads>(warm_fold);
+    RunReadConsultCase<OrecLBloom, FullReads>(warm_fold);
+    RunReadConsultCase<OrecLBloom, ShortReads>(warm_fold);
+  }
+}
+
+// Commit-time consult through the service API: a BatchUpdate reads and
+// rewrites keys X and Y; after its last key — so no per-read consult can catch
+// it — the hook overwrites X with a foreign single-op commit (first attempt
+// only). Every per-read skip saw a still counter, so the commit's TrySkipCommit
+// is the first consult: it must fold the log, refuse the skip, walk, and abort
+// the attempt. The retry then reads the foreign value: X ends at 500 + 1, where
+// a skipped fold would commit the lost update 10 + 1.
+template <typename F>
+void RunBatchCommitConsultCase() {
+  using Probe = typename F::Full::Probe;
+  svc::KvStore<F> store;
+  std::vector<std::uint64_t> keys(64), vals(64, 10);
+  for (std::uint64_t k = 0; k < keys.size(); ++k) {
+    keys[k] = k;
+  }
+  store.BatchPut(keys.data(), vals.data(), keys.size());
+  const std::uint64_t batch[2] = {3, 7};
+  typename F::Slot* x = store.DebugValueSlotOf(batch[0]);
+  ASSERT_NE(x, nullptr);
+
+  Probe::Reset();
+  const std::uint64_t aborts_before =
+      F::Full::StatsForCurrentThread().aborts.load(std::memory_order_relaxed);
+  bool churned = false;
+  store.BatchUpdate(
+      batch, 2, [](std::size_t, std::uint64_t v, bool) { return v + 1; },
+      [&](std::size_t i) {
+        if (i == 1 && !churned) {
+          churned = true;
+          F::SingleWrite(x, EncodeInt(500));
+        }
+      });
+  std::uint64_t vx = 0, vy = 0;
+  ASSERT_TRUE(store.Get(batch[0], &vx));
+  ASSERT_TRUE(store.Get(batch[1], &vy));
+  EXPECT_EQ(vx, 501u) << "the commit skipped past a foreign write to its read set";
+  EXPECT_EQ(vy, 11u);
+  EXPECT_EQ(F::Full::StatsForCurrentThread().aborts.load(std::memory_order_relaxed),
+            aborts_before + 1);
+  const typename Probe::Counters& c = Probe::Get();
+  EXPECT_GE(c.validation_walks, 1u) << "the commit consult must walk";
+  EXPECT_EQ(c.stripe_skips, 0u);
+  EXPECT_EQ(c.bloom_skips, 0u);
+}
+
+TEST(LazySignature, BatchCommitConsultFoldsValPart) {
+  RunBatchCommitConsultCase<ValPart>();
+}
+
+TEST(LazySignature, BatchCommitConsultFoldsValBloom) {
+  RunBatchCommitConsultCase<ValBloom>();
+}
+
+TEST(LazySignature, BatchCommitConsultFoldsOrecLayout) {
+  RunBatchCommitConsultCase<OrecLPart>();
+  RunBatchCommitConsultCase<OrecLBloom>();
+}
+
+// Short-transaction commit consult (CommitMixed): read X, foreign commit over
+// X, lock W in X's stripe, commit. The RO log's only consult is the commit's.
+template <typename F>
+void RunShortCommitConsultCase() {
+  using Probe = typename F::Full::Probe;
+  static typename F::Slot pool[4096];
+  typename F::Slot* x = &pool[0];
+  const int x_stripe = CounterStripeOf(MetaWordOf<F>(x));
+  typename F::Slot* w = PickSlot<F>(
+      pool, [&](int s) { return s == x_stripe; }, AddrBloom128(MetaWordOf<F>(x)));
+  ASSERT_NE(w, nullptr);
+  F::SingleWrite(w, EncodeInt(20));
+
+  Probe::Reset();
+  typename F::ShortTx tx;
+  tx.ReadRo(x);
+  F::SingleWrite(x, EncodeInt(21));  // foreign commit over the logged read
+  tx.ReadRw(w);
+  ASSERT_TRUE(tx.Valid());
+  EXPECT_FALSE(tx.CommitMixed({EncodeInt(22)}))
+      << "the commit skipped past a foreign write to its read set";
+  EXPECT_EQ(DecodeInt(F::SingleRead(w)), 20u) << "the aborted commit stored";
+  const typename Probe::Counters& c = Probe::Get();
+  EXPECT_EQ(c.validation_walks, 1u) << "the commit consult must walk";
+  EXPECT_EQ(c.stripe_skips, 0u);
+  EXPECT_EQ(c.bloom_skips, 0u);
+}
+
+TEST(LazySignature, ShortTxCommitConsultFolds) {
+  RunShortCommitConsultCase<ValPart>();
+  RunShortCommitConsultCase<ValBloom>();
+  RunShortCommitConsultCase<OrecLPart>();
+  RunShortCommitConsultCase<OrecLBloom>();
 }
 
 // --- Strategy-band hysteresis (the GV6 enter/exit dead-band pattern) ------------
