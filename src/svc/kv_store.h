@@ -38,6 +38,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/common/cacheline.h"
 #include "src/common/tagged.h"
 #include "src/tm/config.h"
 #include "src/tm/mvcc.h"
@@ -139,7 +140,7 @@ class KvStore {
     // Quiescent teardown: free the MVCC version chains hanging off every slot
     // the store published (bucket heads, node value/next words) so the val-snap
     // instantiation tears down leak-free; pages themselves free wholesale.
-    if constexpr (kValLayout) {
+    if constexpr (kVersionedSlots) {
       for (Shard& shard : shards_) {
         for (std::size_t b = 0; b < cfg_.buckets_per_shard; ++b) {
           Slot* head = BucketSlot(shard, b);
@@ -358,7 +359,8 @@ class KvStore {
   }
 
  private:
-  static constexpr bool kValLayout = std::is_same_v<Slot, ValSlot>;
+  // Only SnapSlot (the kMvcc families) carries version chains to release.
+  static constexpr bool kVersionedSlots = std::is_same_v<Slot, SnapSlot>;
   static constexpr std::size_t kSlotsPerChunk = StripePagePool::kPageBytes / sizeof(Slot);
 
   struct Node {
@@ -367,6 +369,14 @@ class KvStore {
     Slot next;
   };
   static_assert(sizeof(Node) <= StripePagePool::kPageBytes, "node must fit a page");
+
+  // Allocation grain. Pages are 4 KiB-aligned and every allocation is a
+  // multiple of the grain, so a node whose padded size divides a cache line (32
+  // bytes: a key and two one-word slots) never straddles one. SnapSlot's 48-byte node
+  // cannot be placed that way without padding and keeps the 16-byte grain.
+  static constexpr std::size_t kNodeBytes = (sizeof(Node) + 15) & ~std::size_t{15};
+  static constexpr std::size_t kGrain =
+      kCacheLineSize % kNodeBytes == 0 ? kNodeBytes : 16;
 
   struct Shard {
     std::vector<Slot*> bucket_chunks;  // kSlotsPerChunk heads per chunk
@@ -398,7 +408,7 @@ class KvStore {
 
   // Bump allocation from the shard's stripe-homed pages; caller holds alloc_mu_.
   void* AllocateLocked(Shard& shard, int stripe, std::size_t bytes) {
-    bytes = (bytes + 15) & ~std::size_t{15};  // keep slots/nodes 16-aligned
+    bytes = (bytes + kGrain - 1) & ~(kGrain - 1);
     assert(bytes <= StripePagePool::kPageBytes);
     if (shard.left < bytes) {
       shard.cursor = static_cast<char*>(pages_.AcquirePage(stripe));
@@ -427,7 +437,7 @@ class KvStore {
   }
 
   static void ReleaseChain(Slot& s) {
-    if constexpr (kValLayout) {
+    if constexpr (kVersionedSlots) {
       mvcc::VersionNode* n = s.versions.load(std::memory_order_relaxed);
       s.versions.store(nullptr, std::memory_order_relaxed);
       while (n != nullptr) {

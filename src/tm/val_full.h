@@ -48,7 +48,7 @@ template <typename ValidationT, ValMode kMode = ValMode::kCounterSkip>
 class ValFullTm {
  public:
   using Validation = ValidationT;
-  using Slot = ValSlot;
+  using Slot = ValSlotT<Validation::kMvcc>;
   using Probe = ValProbe<ValDomainTag>;
   using Cm = SerialCm<ValDomainTag>;
   using Gate = SerialGate<ValDomainTag>;
@@ -429,8 +429,9 @@ class ValFullTm {
 
     void TombstoneUnstampedHeads() {
       for (const ValLockLogEntry& l : desc_->val_lock_log) {
-        // ValSlot is standard-layout with `word` first: the logged word
-        // pointer is pointer-interconvertible with its slot.
+        // SnapSlot is standard-layout with `word` first (static_assert in
+        // val_word.h): the logged word pointer is pointer-interconvertible
+        // with its slot.
         Slot* slot = reinterpret_cast<Slot*>(l.word);
         mvcc::TombstoneUnstampedHead(slot->versions);
       }

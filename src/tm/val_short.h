@@ -42,7 +42,7 @@ template <typename ValidationT, ValMode kMode = ValMode::kCounterSkip>
 class ValShortTm {
  public:
   using Validation = ValidationT;
-  using Slot = ValSlot;
+  using Slot = ValSlotT<Validation::kMvcc>;
   using Probe = ValProbe<ValDomainTag>;
   using Cm = SerialCm<ValDomainTag>;
   using Gate = SerialGate<ValDomainTag>;

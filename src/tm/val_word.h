@@ -1,5 +1,6 @@
 // The `val` meta-data layout (Figure 3(c)): a transactional location is ONE word in
-// which bit 0 is reserved as the STM lock bit.
+// which bit 0 is reserved as the STM lock bit. Only the MVCC snapshot family's
+// slots (SnapSlot below) carry a second word, the version-chain head.
 //
 //   unlocked: the 63-bit application value (bit 0 clear — aligned pointer or
 //             EncodeInt()-shifted integer, §2.4)
@@ -23,8 +24,10 @@
 #define SPECTM_TM_VAL_WORD_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 
 #include "src/common/cacheline.h"
 #include "src/common/failpoint.h"
@@ -37,15 +40,30 @@
 
 namespace spectm {
 
-// The data+lock word, plus the MVCC chain head (PR 9): an indirect, bounded,
-// newest-first list of displaced values (src/tm/mvcc.h). The head stays null
-// until a kMvcc-policy writer commits over the slot, and no non-snapshot
-// engine ever reads or writes it — the one-word in-place protocol on `word`
-// is unchanged.
-struct ValSlot {
+// A val slot, chosen by the validation policy's kMvcc marker. ValSlot is the
+// paper's layout: exactly the data+lock word. SnapSlot adds the MVCC chain head,
+// an indirect, bounded, newest-first list of displaced values (src/tm/mvcc.h)
+// that only kMvcc-policy engines read or write. The in-place protocol on `word`
+// is the same for both.
+template <bool kVersioned>
+struct ValSlotT {
+  std::atomic<Word> word{0};
+};
+
+template <>
+struct ValSlotT<true> {
   std::atomic<Word> word{0};
   std::atomic<mvcc::VersionNode*> versions{nullptr};
 };
+
+using ValSlot = ValSlotT<false>;
+using SnapSlot = ValSlotT<true>;
+
+static_assert(sizeof(ValSlot) == sizeof(Word), "the val layout is one word");
+// ValFullTm recovers a SnapSlot from its logged word pointer (reinterpret_cast),
+// which needs `word` at offset 0 of a standard-layout slot.
+static_assert(std::is_standard_layout_v<SnapSlot> && offsetof(SnapSlot, word) == 0,
+              "SnapSlot must be pointer-interconvertible with its word");
 
 constexpr bool ValIsLocked(Word w) { return (w & kLockBit) != 0; }
 
@@ -95,7 +113,8 @@ inline Word MakeValLocked(TxDesc* owner) {
 // `kMvcc` marks the policy whose writers additionally publish every displaced
 // value onto the slot's version chain (src/tm/mvcc.h), stamped with their own
 // commit index — the precondition for ValMode::kSnapshot's pinned-snapshot
-// reads. Engines compile every chain touch out when it is false.
+// reads. It also selects the slot type: SnapSlot when true, the one-word
+// ValSlot when false, so a chain touch on a one-word slot cannot compile.
 
 // Case-3 reliance: no tracking at all. Sound when values satisfy non-re-use (or one
 // of the other two special cases); this is the paper's default for val-short.
@@ -217,7 +236,7 @@ struct SnapshotReadResult {
   bool ok = false;
 };
 
-inline SnapshotReadResult SnapshotReadSlot(ValSlot* s, Word snapshot) {
+inline SnapshotReadResult SnapshotReadSlot(SnapSlot* s, Word snapshot) {
   for (int spins = 0;; ++spins) {
     const Word w = s->word.load(std::memory_order_acquire);
     mvcc::VersionNode* head = s->versions.load(std::memory_order_acquire);

@@ -62,14 +62,17 @@ struct OrecBasedFamily {
 
 template <typename ValidationT, ValMode kMode = ValMode::kCounterSkip>
 struct ValFamilyT {
-  // All val families share one descriptor/metadata domain (they interoperate on
-  // the same words), so they also share one SerialGate/CmProbe. Named here so
-  // generic code can say CmProbe<typename Family::DomainTag> for either kind.
+  // All val families share one descriptor domain, commit counter and writer
+  // ring, so they also share one SerialGate/CmProbe. Named here so generic code
+  // can say CmProbe<typename Family::DomainTag> for either kind. The one-word
+  // families interoperate on the same words; ValSnap's slots are their own type
+  // (SnapSlot, val_word.h), so no other family can write them without
+  // publishing the displaced version.
   using DomainTag = ValDomainTag;
   using Validation = ValidationT;
   using Full = ValFullTm<ValidationT, kMode>;
   using Short = ValShortTm<ValidationT, kMode>;
-  using Slot = ValSlot;
+  using Slot = typename Full::Slot;
   using FullTx = typename Full::Tx;
   using ShortTx = typename Short::ShortTx;
   static constexpr ValMode kValMode = kMode;
@@ -94,7 +97,6 @@ struct OrecLTag {};
 struct TvarGTag {};
 struct TvarLTag {};
 struct OrecGNaiveTag {};
-struct TvarGNaiveTag {};
 
 // Shared orec table + global version clock (Figure 3(a)). The global clock is the
 // GV4 pass-on-failure policy with a thread-local sample cache (clock.h).
@@ -106,22 +108,18 @@ using TvarG = internal::OrecBasedFamily<TvarGTag, TvarLayout, GlobalClockPolicy>
 // Co-located TVar meta-data + per-orec versions.
 using TvarL = internal::OrecBasedFamily<TvarLTag, TvarLayout, LocalClockPolicy>;
 
-// Ablation baselines: the TL2/GV1-style fetch_add clock (every writer commit bumps
-// one shared cache line). Distinct domain tags keep their clocks and orec tables
-// fully isolated from the GV4 families; bench/abl_clock_scale sweeps them against
+// Ablation baseline: the TL2/GV1-style fetch_add clock (every writer commit bumps
+// one shared cache line). A distinct domain tag keeps its clock and orec table
+// fully isolated from the GV4 families; bench/abl_clock_scale sweeps it against
 // the defaults.
 using OrecGNaive = internal::OrecBasedFamily<OrecGNaiveTag, OrecLayout, GlobalClockNaive>;
-using TvarGNaive = internal::OrecBasedFamily<TvarGNaiveTag, TvarLayout, GlobalClockNaive>;
 
-// Orec-table indexing ablations (orec.h OrecStriping): identical engines and
-// clocks, but the shared table maps adjacent addresses to guaranteed-distinct
-// cache lines instead of hash-scattering them. Distinct tags keep the striped
-// tables fully isolated; swept against the hashed defaults in
+// Orec-table indexing ablation (orec.h OrecStriping): identical engine and
+// clock, but the shared table maps adjacent addresses to guaranteed-distinct
+// cache lines instead of hash-scattering them. A distinct tag keeps the striped
+// table fully isolated; swept against the hashed OrecL in
 // bench/abl_readset_layout.
-struct OrecGStripedTag {};
 struct OrecLStripedTag {};
-using OrecGStriped =
-    internal::OrecBasedFamily<OrecGStripedTag, OrecLayoutStriped, GlobalClockPolicy>;
 using OrecLStriped =
     internal::OrecBasedFamily<OrecLStripedTag, OrecLayoutStriped, LocalClockPolicy>;
 

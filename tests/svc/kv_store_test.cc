@@ -9,13 +9,16 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "src/common/cacheline.h"
 #include "src/common/rng.h"
 #include "src/common/soa_log.h"
 #include "src/svc/driver.h"
 #include "src/svc/kv_store.h"
 #include "src/tm/config.h"
+#include "src/tm/mvcc.h"
 #include "src/tm/txdesc.h"
 #include "src/tm/validate_batch.h"
 #include "src/tm/valstrategy.h"
@@ -222,6 +225,53 @@ TEST(KvStoreStripes, ShardAllocationIsStripeHomed) {
     EXPECT_EQ(DecodeInt(F::RawRead(slot)), k + 1);
   }
   EXPECT_EQ(store.DebugValueSlotOf(99999), nullptr);
+}
+
+// Slot layout end to end: fill, overwrite, scan and tear down a store over the
+// one-word val slots and over ValSnap's SnapSlot. The overwrites leave version
+// chains on every SnapSlot value word, so the sanitizer jobs prove that the
+// teardown frees them. A node of one-word slots (key, value, next) never
+// straddles a cache line.
+template <typename F>
+void FillOverwriteScanTeardown() {
+  constexpr std::size_t kKeys = 2048;
+  std::vector<std::uint64_t> keys(kKeys), vals(kKeys), out(kKeys);
+  std::uint64_t sum = 0;
+  KvStore<F> store;
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    sum = 0;
+    for (std::size_t k = 0; k < kKeys; ++k) {
+      keys[k] = k;
+      vals[k] = 10 * k + round;
+      sum += vals[k];
+    }
+    store.BatchPut(keys.data(), vals.data(), kKeys);
+  }
+  EXPECT_EQ(store.BatchScan(0, kKeys, out.data()), sum);
+  EXPECT_EQ(out, vals);
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    typename F::Slot* value = store.DebugValueSlotOf(k);
+    ASSERT_NE(value, nullptr);
+    if constexpr (std::is_same_v<typename F::Slot, SnapSlot>) {
+      EXPECT_GT(mvcc::ChainLength(value->versions), 0) << "key " << k;
+    } else {
+      // Node = {key, value, next}; `value` follows the 8-byte key.
+      const auto node = reinterpret_cast<std::uintptr_t>(value) - sizeof(std::uint64_t);
+      const std::size_t node_bytes = sizeof(std::uint64_t) + 2 * sizeof(typename F::Slot);
+      EXPECT_EQ(node / kCacheLineSize, (node + node_bytes - 1) / kCacheLineSize)
+          << "key " << k;
+    }
+  }
+}
+
+TEST(KvStoreLayout, OneWordValStoreRoundTripsAndTearsDown) {
+  static_assert(sizeof(SvcVal::Slot) == sizeof(Word));
+  FillOverwriteScanTeardown<SvcVal>();
+}
+
+TEST(KvStoreLayout, SnapshotStoreReleasesChainsAtTeardown) {
+  static_assert(std::is_same_v<SvcSnapshot::Slot, SnapSlot>);
+  FillOverwriteScanTeardown<SvcSnapshot>();
 }
 
 // Region-local batches on the partitioned-counter val engine: churn homed to a

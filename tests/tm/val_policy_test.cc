@@ -5,14 +5,37 @@
 
 #include <atomic>
 #include <thread>
+#include <type_traits>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "src/tm/config.h"
+#include "src/tm/val_eager.h"
 #include "src/tm/val_word.h"
 #include "src/tm/variants.h"
 
 namespace spectm {
 namespace {
+
+// The val layout is one word (§2.4, Fig. 3(c)) in every family but ValSnap,
+// whose SnapSlot adds the MVCC chain head. Distinct slot types are what stop a
+// one-word family from writing a ValSnap slot without publishing its version.
+template <typename... Families>
+void ExpectOneWordSlots() {
+  for (const auto& [name, bytes] :
+       {std::pair{typeid(Families).name(), sizeof(typename Families::Slot)}...}) {
+    EXPECT_EQ(bytes, sizeof(Word)) << name;
+  }
+}
+
+TEST(ValSlotLayout, OneWordInEveryFamilyButSnapshot) {
+  ExpectOneWordSlots<Val, ValGlobalCounter, ValPerThreadCounter, ValIncremental,
+                     ValCounterSkip, ValBloom, ValAdaptive, ValPart, ValEager>();
+  EXPECT_EQ(sizeof(ValSnap::Slot), 2 * sizeof(Word));
+  EXPECT_FALSE((std::is_same_v<Val::Slot, ValSnap::Slot>));
+  EXPECT_TRUE((std::is_same_v<ValSnap::Slot, SnapSlot>));
+}
 
 TEST(ValPolicies, NonReuseIsAlwaysStable) {
   const Word s = NonReuseValidation::Sample();
