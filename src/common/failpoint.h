@@ -56,7 +56,7 @@ enum class Site : int {
   kSerialGateExit,     // before the committer flag retract
   kSerialTokenAcquire, // serial CAS/drain loop, and the instant the drain ends
   kSerialTokenRelease, // before the owner-pointer clearing store
-  kEpochAdvance,       // epoch advance/reclaim scan entry
+  kEpochAdvance,       // advance: epoch loaded, fence + straggler scan not yet run
   kEpochRetire,        // object pushed into a limbo bag
   kPostRingPublish,    // ring entry published, locks still held
   kBackoffWait,        // once per contention-abort backoff wait
@@ -68,6 +68,7 @@ enum class Site : int {
   kVersionPublish,     // chain node pushed, stamp CAS not yet executed
   kDoneStampAdvance,   // done-stamp scan over the pinned-snapshot registry
   kVersionRetire,      // version node unlinked and handed to reclamation
+  kEpochAnnounce,      // Guard entry: activity stored, epoch re-check not yet run
   kCount,
 };
 
@@ -109,6 +110,8 @@ inline const char* SiteName(Site s) {
       return "done-stamp-advance";
     case Site::kVersionRetire:
       return "version-retire";
+    case Site::kEpochAnnounce:
+      return "epoch-announce";
     default:
       return "?";
   }

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/bucket.h"
 #include "src/common/cacheline.h"
 
 namespace spectm {
@@ -131,11 +132,7 @@ class alignas(kCacheLineSize) WriteSet {
   static constexpr std::size_t kInitialSlots = 64;
 
   static std::size_t HashAddr(const void* addr) {
-    auto x = reinterpret_cast<std::uintptr_t>(addr) >> 3;
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x);
+    return static_cast<std::size_t>(MixKey(reinterpret_cast<std::uintptr_t>(addr) >> 3));
   }
 
   // Two-bit signature in a 64-bit filter. With the write sets this system sees

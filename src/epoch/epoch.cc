@@ -4,6 +4,12 @@
 #include <mutex>
 #include <unordered_map>
 
+#if defined(__linux__)
+#include <linux/membarrier.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 #include "src/common/failpoint.h"
 
 namespace spectm {
@@ -22,6 +28,27 @@ LiveManagers& Managers() {
 }
 
 std::atomic<std::uint64_t> next_instance_id{1};
+
+#if defined(__linux__) && defined(SYS_membarrier)
+long Membarrier(int cmd) { return syscall(SYS_membarrier, cmd, 0, 0); }
+
+// Registers the process for private expedited membarrier once, at the first
+// manager construction. The result picks every manager's announcement path.
+bool AsymmetricFencesAvailable() {
+  static const bool available = [] {
+    const long cmds = Membarrier(MEMBARRIER_CMD_QUERY);
+    return cmds > 0 && (cmds & MEMBARRIER_CMD_PRIVATE_EXPEDITED) != 0 &&
+           Membarrier(MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED) == 0;
+  }();
+  return available;
+}
+
+// Executes a full memory barrier on every CPU running a thread of this process.
+bool HeavyFence() { return Membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED) == 0; }
+#else
+bool AsymmetricFencesAvailable() { return false; }
+bool HeavyFence() { return false; }
+#endif
 
 }  // namespace
 
@@ -42,6 +69,7 @@ struct EpochThreadCache {
   Slot slots[kSlots];
 
   ~EpochThreadCache() {
+    EpochManager::hint_ = EpochManager::ThreadHint{};
     std::lock_guard<std::mutex> lock(Managers().mu);
     for (Slot& s : slots) {
       if (s.state == nullptr) {
@@ -83,7 +111,8 @@ EpochThreadCache& ThreadCache() {
 
 EpochManager::EpochManager()
     : orphans_(new Orphans),
-      instance_id_(next_instance_id.fetch_add(1, std::memory_order_relaxed)) {
+      instance_id_(next_instance_id.fetch_add(1, std::memory_order_relaxed)),
+      asymmetric_fences_(AsymmetricFencesAvailable()) {
   global_epoch_->store(2, std::memory_order_relaxed);  // start >1 so epoch-2 is valid
   std::lock_guard<std::mutex> lock(Managers().mu);
   Managers().by_id.emplace(instance_id_, this);
@@ -96,8 +125,9 @@ EpochManager::~EpochManager() {
   }
   // At destruction no thread may be inside a Guard (standard quiescence contract).
   // Free everything still in limbo: slot bags first, then orphans.
-  for (ThreadState& ts : threads_) {
-    for (LimboBag& bag : ts.bags) {
+  const int claimed = ClaimedSlots();
+  for (int i = 0; i < claimed; ++i) {
+    for (LimboBag& bag : threads_[i].bags) {
       FreeBag(&bag, &freed_count_);
     }
   }
@@ -110,20 +140,31 @@ EpochManager::~EpochManager() {
   delete orphans_;
 }
 
-EpochManager::ThreadState* EpochManager::StateForCurrentThread() {
+EpochManager::ThreadState* EpochManager::RefillHint() {
   EpochThreadCache& cache = ThreadCache();
+  ThreadState* state = nullptr;
   if (ThreadState** found = cache.Find(instance_id_, this)) {
-    return *found;
-  }
-  for (ThreadState& ts : threads_) {
-    bool expected = false;
-    if (ts.used.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-      cache.Insert(instance_id_, this, &ts);
-      return &ts;
+    state = *found;
+  } else {
+    for (int i = 0; i < kMaxThreads && state == nullptr; ++i) {
+      bool expected = false;
+      if (threads_[i].used.compare_exchange_strong(expected, true,
+                                                   std::memory_order_acq_rel)) {
+        state = &threads_[i];
+        // Raise the high-water mark before this thread's first announcement or
+        // pin; the seq_cst load/CAS is what the bounded scans rely on.
+        int claimed = claimed_slots_.load(std::memory_order_seq_cst);
+        while (claimed < i + 1 &&
+               !claimed_slots_.compare_exchange_weak(claimed, i + 1,
+                                                     std::memory_order_seq_cst)) {
+        }
+      }
     }
+    assert(state != nullptr && "EpochManager: more than kMaxThreads concurrent threads");
+    cache.Insert(instance_id_, this, state);
   }
-  assert(false && "EpochManager: more than kMaxThreads concurrent threads");
-  return nullptr;
+  hint_ = ThreadHint{this, instance_id_, state};
+  return state;
 }
 
 void EpochManager::ReleaseThreadState(ThreadState* ts) {
@@ -144,59 +185,14 @@ void EpochManager::ReleaseThreadState(ThreadState* ts) {
   ts->used.store(false, std::memory_order_release);
 }
 
-void EpochManager::Enter() {
-  ThreadState* ts = StateForCurrentThread();
-  if (ts->guard_depth++ > 0) {
-    return;  // re-entrant Guard: the activity word is already published
-  }
-  // Publish activity at the current global epoch; re-check so that an advance racing
-  // with us either sees our activity or we adopt the newer epoch.
-  std::uint64_t e = global_epoch_->load(std::memory_order_seq_cst);
-  while (true) {
-    ts->word.store((e << 1) | 1, std::memory_order_seq_cst);
-    const std::uint64_t now = global_epoch_->load(std::memory_order_seq_cst);
-    if (now == e) {
-      break;
-    }
-    e = now;
-  }
-}
-
-void EpochManager::Exit() {
-  ThreadState* ts = StateForCurrentThread();
-  assert(ts->guard_depth > 0 && "Exit without matching Enter");
-  if (--ts->guard_depth > 0) {
-    return;  // inner Guard: an enclosing one still owns the activity word
-  }
-  ts->word.store(ts->word.load(std::memory_order_relaxed) & ~1ULL,
-                 std::memory_order_release);
-}
-
-void EpochManager::BeginSnapshotPin() {
-  // seq_cst intent store: SnapshotDoneStamp's scan either sees it (and then
-  // reclaims nothing) or is ordered wholly before it, in which case the pin's
-  // eventual stamp is >= the clock value the scanner bounded itself by.
-  StateForCurrentThread()->pin.store(kPinPending, std::memory_order_seq_cst);
-}
-
-void EpochManager::SetSnapshotPin(std::uint64_t s) {
-  StateForCurrentThread()->pin.store(s, std::memory_order_seq_cst);
-}
-
-void EpochManager::UnpinSnapshot() {
-  StateForCurrentThread()->pin.store(kNoSnapshot, std::memory_order_release);
-}
-
 std::uint64_t EpochManager::SnapshotDoneStamp(std::uint64_t counter_now) const {
   // Schedule point (PR 9): the done-stamp scan racing pin publication — the
   // window the two-step pin protocol exists for.
   SPECTM_SCHED_POINT(failpoint::Site::kDoneStampAdvance);
   std::uint64_t done = counter_now;
-  for (const ThreadState& ts : threads_) {
-    if (!ts.used.load(std::memory_order_acquire)) {
-      continue;
-    }
-    const std::uint64_t p = ts.pin.load(std::memory_order_seq_cst);
+  const int claimed = ClaimedSlots();
+  for (int i = 0; i < claimed; ++i) {
+    const std::uint64_t p = threads_[i].pin.load(std::memory_order_seq_cst);
     if (p == kPinPending) {
       return 0;  // a pin is mid-publication: no safe bound exists yet
     }
@@ -230,16 +226,20 @@ void EpochManager::Retire(void* p, void (*deleter)(void*)) {
 }
 
 void EpochManager::TryAdvanceAndReclaim(ThreadState* ts) {
-  // Schedule point (PR 8): the straggler scan vs. Enter's publish-then-recheck
-  // handshake — an advance interleaved anywhere inside Enter must either see
-  // the activity word or be adopted by the re-check.
-  SPECTM_SCHED_POINT(failpoint::Site::kEpochAdvance);
   const std::uint64_t e = global_epoch_->load(std::memory_order_seq_cst);
-  for (const ThreadState& other : threads_) {
-    if (!other.used.load(std::memory_order_acquire)) {
-      continue;
-    }
-    const std::uint64_t w = other.word.load(std::memory_order_seq_cst);
+  // Schedule point between the epoch load and the fence + straggler scan: an
+  // advance interleaved anywhere inside Enter's publish-then-recheck handshake
+  // must either see the activity word or be adopted by the re-check.
+  SPECTM_SCHED_POINT(failpoint::Site::kEpochAdvance);
+  // The heavy fence comes AFTER the epoch load: an announcement it does not
+  // make visible to the scan is then re-checked against a global >= e
+  // (docs/VALIDATION.md §11). No fence, no advance.
+  if (asymmetric_fences_ && !HeavyFence()) {
+    return;
+  }
+  const int claimed = ClaimedSlots();
+  for (int i = 0; i < claimed; ++i) {
+    const std::uint64_t w = threads_[i].word.load(std::memory_order_seq_cst);
     if ((w & 1) != 0 && (w >> 1) != e) {
       return;  // a straggler is still in an older epoch
     }
@@ -285,8 +285,9 @@ void EpochManager::AbsorbOrphans(std::uint64_t global) {
 
 std::size_t EpochManager::PendingCount() const {
   std::size_t n = 0;
-  for (const ThreadState& ts : threads_) {
-    for (const LimboBag& bag : ts.bags) {
+  const int claimed = ClaimedSlots();
+  for (int i = 0; i < claimed; ++i) {
+    for (const LimboBag& bag : threads_[i].bags) {
       n += bag.objects.size();
     }
   }
@@ -298,16 +299,16 @@ std::size_t EpochManager::PendingCount() const {
 }
 
 void EpochManager::ReclaimAllForTesting() {
-  ThreadState* ts = StateForCurrentThread();
   for (int i = 0; i < 8; ++i) {
     // Each Enter/advance/Exit round can move the epoch forward by one.
-    Enter();
+    ThreadState* ts = Enter();
     TryAdvanceAndReclaim(ts);
-    Exit();
+    Exit(ts);
   }
   const std::uint64_t now = global_epoch_->load(std::memory_order_seq_cst);
-  for (ThreadState& other : threads_) {
-    FlushFreeableBags(&other, now);
+  const int claimed = ClaimedSlots();
+  for (int i = 0; i < claimed; ++i) {
+    FlushFreeableBags(&threads_[i], now);
   }
   AbsorbOrphans(now);
 }

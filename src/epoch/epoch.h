@@ -14,21 +14,35 @@
 // a node's address cannot be recycled while any concurrent operation might still
 // compare against it.
 //
+// Entering a region is the per-operation cost every structure pays, so it is inline
+// and cheap. The thread's slot comes from a one-entry thread-local hint; the
+// announcement's store-load fence is asymmetric where the kernel supports it: the
+// reader pays only a compiler fence, and the rare advance pays a process-wide
+// membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED) issued AFTER it loads the epoch it
+// wants to advance. Where registering for that command fails (non-Linux, seccomp),
+// the announcement is a seq_cst store as in Fraser's original. Advance and pin scans
+// stop at the high-water mark of claimed slots. docs/VALIDATION.md §11 carries the
+// ordering argument for all three.
+//
 // Managers are instantiable (tests create private ones); a process-wide instance is
 // available via GlobalEpochManager().
 #ifndef SPECTM_EPOCH_EPOCH_H_
 #define SPECTM_EPOCH_EPOCH_H_
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "src/common/cacheline.h"
+#include "src/common/failpoint.h"
 
 namespace spectm {
 
 class EpochManager {
+  struct ThreadState;
+
  public:
   static constexpr int kMaxThreads = 256;
 
@@ -42,16 +56,17 @@ class EpochManager {
   // Guard for their whole duration; Retire may only be called under a Guard.
   // Guards nest: an inner Guard on a manager the thread already occupies is a
   // counter bump, and only the outermost Exit retracts the activity word (the
-  // MVCC retire paths run under possibly-already-held guards).
+  // MVCC retire paths run under possibly-already-held guards). The guard keeps
+  // the thread's slot, so leaving the region needs no second lookup.
   class Guard {
    public:
-    explicit Guard(EpochManager& mgr) : mgr_(mgr) { mgr_.Enter(); }
-    ~Guard() { mgr_.Exit(); }
+    explicit Guard(EpochManager& mgr) : ts_(mgr.Enter()) {}
+    ~Guard() { Exit(ts_); }
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
 
    private:
-    EpochManager& mgr_;
+    ThreadState* const ts_;
   };
 
   // Nullable Guard: an empty slot until Acquire(), released at destruction or
@@ -67,21 +82,20 @@ class EpochManager {
     GuardSlot& operator=(const GuardSlot&) = delete;
 
     void Acquire(EpochManager& mgr) {
-      if (mgr_ == nullptr) {
-        mgr.Enter();
-        mgr_ = &mgr;
+      if (ts_ == nullptr) {
+        ts_ = mgr.Enter();
       }
     }
 
     void Release() {
-      if (mgr_ != nullptr) {
-        mgr_->Exit();
-        mgr_ = nullptr;
+      if (ts_ != nullptr) {
+        Exit(ts_);
+        ts_ = nullptr;
       }
     }
 
    private:
-    EpochManager* mgr_ = nullptr;
+    ThreadState* ts_ = nullptr;
   };
 
   // Defers destruction of p until no concurrent critical region can reference it.
@@ -106,9 +120,21 @@ class EpochManager {
   static constexpr std::uint64_t kNoSnapshot = ~std::uint64_t{0};
   static constexpr std::uint64_t kPinPending = ~std::uint64_t{0} - 1;
 
-  void BeginSnapshotPin();               // pin := kPinPending (intent, pre-sample)
-  void SetSnapshotPin(std::uint64_t s);  // pin := s (the sampled clock value)
-  void UnpinSnapshot();                  // pin := kNoSnapshot
+  // pin := kPinPending (intent, pre-sample). seq_cst: SnapshotDoneStamp's scan
+  // either sees it (and then reclaims nothing) or is ordered wholly before it, in
+  // which case the pin's eventual stamp is >= the clock value the scanner
+  // bounded itself by.
+  void BeginSnapshotPin() {
+    StateForCurrentThread()->pin.store(kPinPending, std::memory_order_seq_cst);
+  }
+  // pin := s (the sampled clock value)
+  void SetSnapshotPin(std::uint64_t s) {
+    StateForCurrentThread()->pin.store(s, std::memory_order_seq_cst);
+  }
+  // pin := kNoSnapshot
+  void UnpinSnapshot() {
+    StateForCurrentThread()->pin.store(kNoSnapshot, std::memory_order_release);
+  }
 
   // min(counter_now, every published pin); 0 while any pin is mid-publication.
   // `counter_now` must be sampled from the commit clock BEFORE the call.
@@ -117,6 +143,11 @@ class EpochManager {
   // --- Introspection / test support -------------------------------------------------
 
   std::uint64_t GlobalEpoch() const { return global_epoch_->load(std::memory_order_acquire); }
+
+  // True when announcements use the asymmetric fence (relaxed store + compiler
+  // fence, membarrier on advance); false on the seq_cst-store fallback. Chosen
+  // once per process from the membarrier registration result.
+  bool AsymmetricFences() const { return asymmetric_fences_; }
 
   // Number of objects retired by all threads but not yet freed.
   std::size_t PendingCount() const;
@@ -145,6 +176,8 @@ class EpochManager {
   struct alignas(kCacheLineSize) ThreadState {
     // (local_epoch << 1) | active. Written by the owner, scanned by advancers.
     std::atomic<std::uint64_t> word{0};
+    // Claimed by a live thread. Scans need not check it: a released slot's word
+    // and pin are reset to inactive/kNoSnapshot before the flag is cleared.
     std::atomic<bool> used{false};
     // Pinned snapshot stamp (kNoSnapshot when idle, kPinPending mid-publish).
     // Written by the owner, scanned by SnapshotDoneStamp.
@@ -156,9 +189,69 @@ class EpochManager {
     std::uint64_t retires_since_scan = 0;
   };
 
-  void Enter();
-  void Exit();
-  ThreadState* StateForCurrentThread();
+  // The thread's slot in the most recently used manager. Keyed by instance id as
+  // well as address: a manager constructed where a destroyed one lived must not
+  // inherit that manager's slot.
+  struct ThreadHint {
+    const EpochManager* mgr;
+    std::uint64_t instance_id;
+    ThreadState* state;
+  };
+  static inline thread_local ThreadHint hint_{};  // zero-initialized: no manager
+
+  ThreadState* StateForCurrentThread() {
+    const ThreadHint& h = hint_;
+    if (h.mgr == this && h.instance_id == instance_id_) {
+      return h.state;
+    }
+    return RefillHint();
+  }
+  // Hint miss: finds (or claims) the slot in the thread's cache and refills the hint.
+  ThreadState* RefillHint();
+
+  ThreadState* Enter() {
+    ThreadState* ts = StateForCurrentThread();
+    if (ts->guard_depth++ == 0) {
+      Announce(ts);
+    }
+    return ts;
+  }
+
+  // Publishes activity at the current global epoch and re-checks, so that an
+  // advance racing with us either sees the activity or we adopt the newer epoch.
+  void Announce(ThreadState* ts) {
+    std::uint64_t e = global_epoch_->load(std::memory_order_seq_cst);
+    while (true) {
+      if (asymmetric_fences_) {
+        // The advancer's membarrier orders this store before the re-check load
+        // for any advance that could miss it (docs/VALIDATION.md §11).
+        ts->word.store((e << 1) | 1, std::memory_order_relaxed);
+        std::atomic_signal_fence(std::memory_order_seq_cst);
+      } else {
+        ts->word.store((e << 1) | 1, std::memory_order_seq_cst);
+      }
+      // Schedule point: an advance between the announcement and its re-check.
+      SPECTM_SCHED_POINT(failpoint::Site::kEpochAnnounce);
+      const std::uint64_t now = global_epoch_->load(std::memory_order_seq_cst);
+      if (now == e) {
+        return;
+      }
+      e = now;
+    }
+  }
+
+  static void Exit(ThreadState* ts) {
+    assert(ts->guard_depth > 0 && "Exit without matching Enter");
+    if (--ts->guard_depth > 0) {
+      return;  // inner Guard: an enclosing one still owns the activity word
+    }
+    ts->word.store(ts->word.load(std::memory_order_relaxed) & ~1ULL,
+                   std::memory_order_release);
+  }
+
+  // Slots [0, ClaimedSlots()) are every slot any thread has ever claimed.
+  int ClaimedSlots() const { return claimed_slots_.load(std::memory_order_seq_cst); }
+
   void TryAdvanceAndReclaim(ThreadState* ts);
   void FlushFreeableBags(ThreadState* ts, std::uint64_t global);
   static void FreeBag(LimboBag* bag, std::atomic<std::uint64_t>* freed_counter);
@@ -172,6 +265,9 @@ class EpochManager {
 
   CacheAligned<std::atomic<std::uint64_t>> global_epoch_{};
   std::atomic<std::uint64_t> freed_count_{0};
+  // High-water mark of claimed slots, raised (seq_cst) by a claiming thread
+  // before its first announcement or pin; scans stop here.
+  std::atomic<int> claimed_slots_{0};
   ThreadState threads_[kMaxThreads];
 
   // Limbo objects from exited threads, protected by a mutex (cold path only).
@@ -179,6 +275,7 @@ class EpochManager {
   Orphans* orphans_;
 
   const std::uint64_t instance_id_;
+  const bool asymmetric_fences_;
 
   static constexpr std::uint64_t kScanInterval = 64;  // retires between advance scans
 };

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/bucket.h"
+
 namespace spectm {
 
 class SeqHashSet {
@@ -74,11 +76,7 @@ class SeqHashSet {
   };
 
   std::size_t Index(std::uint64_t key) const {
-    std::uint64_t x = key;
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x % buckets_.size());
+    return BucketOf(MixKey(key), buckets_.size());
   }
 
   std::vector<Node*> buckets_;

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/bucket.h"
 #include "src/common/tagged.h"
 #include "src/epoch/epoch.h"
 #include "src/tm/config.h"
@@ -146,11 +147,7 @@ class SpecHashSet {
   }
 
   Slot& BucketFor(std::uint64_t key) {
-    std::uint64_t x = key;
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return buckets_[static_cast<std::size_t>(x % buckets_.size())];
+    return buckets_[BucketOf(MixKey(key), buckets_.size())];
   }
 
   EpochManager& epoch_;

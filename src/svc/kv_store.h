@@ -38,6 +38,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/common/bucket.h"
 #include "src/common/cacheline.h"
 #include "src/common/tagged.h"
 #include "src/tm/config.h"
@@ -387,10 +388,7 @@ class KvStore {
   };
 
   static std::uint64_t HashOf(std::uint64_t key) {
-    std::uint64_t x = key;
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
+    std::uint64_t x = MixKey(key);
     x *= 0xc4ceb9fe1a85ec53ULL;
     x ^= x >> 33;
     return x;
@@ -401,9 +399,8 @@ class KvStore {
   }
 
   Slot* BucketSlotFor(Shard& shard, std::uint64_t key) {
-    // Bucket choice uses hash bits disjoint from the shard index.
-    return BucketSlot(shard, static_cast<std::size_t>(HashOf(key) >> 24) %
-                                 cfg_.buckets_per_shard);
+    // BucketOf draws on the high hash bits, ShardOf on the low ones.
+    return BucketSlot(shard, BucketOf(HashOf(key), cfg_.buckets_per_shard));
   }
 
   // Bump allocation from the shard's stripe-homed pages; caller holds alloc_mu_.

@@ -4,8 +4,15 @@
 
 #include <atomic>
 #include <cstdint>
+#include <new>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <linux/membarrier.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 namespace spectm {
 namespace {
@@ -157,6 +164,143 @@ TEST(Epoch, ReadersNeverObserveFreedMemory) {
   }
   mgr.ReclaimAllForTesting();
   EXPECT_EQ(mgr.PendingCount(), 0u);
+}
+
+// Real-parallelism race: two retirers replace a two-node path while two readers
+// follow it under Guards. The deleter poisons each node before freeing it, so a
+// reader that reaches a freed node sees the poison (and ASan reports the read).
+TEST(Epoch, ReadersFollowingATwoNodePathNeverReachAFreedNode) {
+  static constexpr std::uint64_t kLive = 0x11fe11fe;
+  static constexpr std::uint64_t kPoison = 0xdeadbeef;
+  struct PathNode {
+    std::uint64_t payload = kLive;
+    PathNode* next = nullptr;
+  };
+  auto make_path = [] {
+    auto* tail = new PathNode;
+    auto* head = new PathNode;
+    head->next = tail;
+    return head;
+  };
+  auto poison_and_delete = [](void* p) {
+    auto* n = static_cast<PathNode*>(p);
+    n->payload = kPoison;
+    delete n;
+  };
+
+  EpochManager mgr;
+  std::atomic<PathNode*> path{make_path()};
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> bad{0};
+  std::atomic<std::uint64_t> reads{0};
+  constexpr int kRetirers = 2;
+  constexpr int kSwapsPerRetirer = 50000;  // two retires per swap: 200K in total
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      std::uint64_t n = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        EpochManager::Guard g(mgr);
+        const PathNode* head = path.load(std::memory_order_acquire);
+        const PathNode* tail = head->next;
+        if (head->payload != kLive || tail->payload != kLive) {
+          bad.fetch_add(1);
+        }
+        ++n;
+      }
+      reads.fetch_add(n);
+    });
+  }
+  std::vector<std::thread> retirers;
+  for (int w = 0; w < kRetirers; ++w) {
+    retirers.emplace_back([&] {
+      for (int i = 0; i < kSwapsPerRetirer; ++i) {
+        EpochManager::Guard g(mgr);
+        PathNode* old = path.exchange(make_path(), std::memory_order_acq_rel);
+        PathNode* old_tail = old->next;
+        mgr.Retire(old, poison_and_delete);
+        mgr.Retire(old_tail, poison_and_delete);
+      }
+    });
+  }
+  for (auto& t : retirers) {
+    t.join();
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) {
+    t.join();
+  }
+  EXPECT_EQ(bad.load(), 0u) << "a reader reached a poisoned (freed) node";
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_GT(mgr.FreedCount(), 0u) << "no advance ever freed anything";
+  {
+    EpochManager::Guard g(mgr);
+    PathNode* last = path.load();
+    mgr.Retire(last->next, poison_and_delete);
+    mgr.Retire(last, poison_and_delete);
+  }
+  mgr.ReclaimAllForTesting();
+  EXPECT_EQ(mgr.PendingCount(), 0u);
+  EXPECT_EQ(mgr.FreedCount(), 2u * kRetirers * kSwapsPerRetirer + 2u);
+}
+
+// A manager built in the storage of a destroyed one must not inherit the
+// thread's slot hint: the hint is keyed by instance id, not address alone.
+TEST(Epoch, ManagerRebuiltInPlaceGetsAFreshSlot) {
+  Canary::live.store(0);
+  alignas(EpochManager) unsigned char storage[sizeof(EpochManager)];
+  auto* old_mgr = new (storage) EpochManager;
+  // A helper claims slot 0 first, so this thread's slot in old_mgr is slot 1,
+  // a slot the rebuilt manager's scans do not reach until someone claims it.
+  std::atomic<bool> claimed{false};
+  std::atomic<bool> release{false};
+  std::thread helper([&] {
+    { EpochManager::Guard g(*old_mgr); }
+    claimed.store(true);
+    while (!release.load()) {
+      CpuRelax();
+    }
+  });
+  while (!claimed.load()) {
+    CpuRelax();
+  }
+  { EpochManager::Guard g(*old_mgr); }
+  release.store(true);
+  helper.join();
+  old_mgr->~EpochManager();
+
+  auto* mgr = new (storage) EpochManager;
+  ASSERT_EQ(static_cast<void*>(mgr), static_cast<void*>(old_mgr));
+  {
+    EpochManager::Guard g(*mgr);
+    for (int i = 0; i < 10; ++i) {
+      mgr->Retire(new Canary);
+    }
+  }
+  EXPECT_EQ(mgr->PendingCount(), 10u) << "retired into a slot the manager never claimed";
+  mgr->ReclaimAllForTesting();
+  EXPECT_EQ(mgr->PendingCount(), 0u);
+  EXPECT_EQ(Canary::live.load(), 0);
+  mgr->~EpochManager();
+}
+
+// Pins the announcement mode: where the kernel offers private expedited
+// membarrier, a silent fall back to the seq_cst store is a failure.
+TEST(Epoch, AsymmetricFencesWhereverTheKernelOffersThem) {
+  EpochManager mgr;
+  EXPECT_EQ(mgr.AsymmetricFences(), GlobalEpochManager().AsymmetricFences())
+      << "the announcement path is chosen once per process";
+#if defined(__linux__) && defined(SYS_membarrier)
+  const long cmds = syscall(SYS_membarrier, MEMBARRIER_CMD_QUERY, 0, 0);
+  if (cmds > 0 && (cmds & MEMBARRIER_CMD_PRIVATE_EXPEDITED) != 0) {
+    EXPECT_TRUE(mgr.AsymmetricFences());
+  } else {
+    EXPECT_FALSE(mgr.AsymmetricFences());
+  }
+#else
+  EXPECT_FALSE(mgr.AsymmetricFences());
+#endif
 }
 
 TEST(Epoch, GlobalManagerSingleton) {

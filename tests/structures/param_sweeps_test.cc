@@ -7,8 +7,10 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/benchsupport/workload.h"
+#include "src/common/bucket.h"
 #include "src/common/rng.h"
 #include "src/structures/dequeue.h"
 #include "src/structures/hash_tm_short.h"
@@ -69,6 +71,23 @@ TEST_P(HashBucketSweep, FuzzAtExtremeChainLengths) {
 TEST_P(HashBucketSweep, ConcurrentAccountingAtExtremeChainLengths) {
   SpecHashSet<Val> set(GetParam());
   testbattery::ConcurrentSharedKeyAccounting(set, 4, 4000, 64);
+}
+
+// The shared multiply-high reduction: always in range, the extremes map to the
+// end buckets, and mixed consecutive keys reach every bucket.
+TEST_P(HashBucketSweep, BucketOfStaysInRangeAndCoversEveryBucket) {
+  const std::size_t n = GetParam();
+  EXPECT_EQ(BucketOf(0, n), 0u);
+  EXPECT_EQ(BucketOf(~std::uint64_t{0}, n), n - 1);
+  std::vector<std::size_t> hits(n, 0);
+  for (std::uint64_t key = 0; key < 64 * n; ++key) {
+    const std::size_t b = BucketOf(MixKey(key), n);
+    ASSERT_LT(b, n) << "key " << key;
+    ++hits[b];
+  }
+  for (std::size_t b = 0; b < n; ++b) {
+    EXPECT_GT(hits[b], 0u) << "bucket " << b << " of " << n << " never chosen";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Buckets, HashBucketSweep,

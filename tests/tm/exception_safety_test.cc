@@ -452,8 +452,8 @@ TEST_F(ExceptionSafetyTest, EveryPlantedSiteActuallyFires) {
     EXPECT_TRUE(ValSnap::Full::Atomically(
         [&](ValSnap::FullTx& tx) { (void)tx.Read(&s); }));
   }
-  // Epoch machinery: an object into a limbo bag under a Guard, then the
-  // advance/reclaim scan.
+  // Epoch machinery: a Guard's announcement, an object into a limbo bag, then
+  // the advance/reclaim scan.
   {
     EpochManager mgr;
     {

@@ -434,7 +434,80 @@ TEST(SchedExploreEpoch, AdvanceNeverFreesUnderAForeignGuard) {
   EXPECT_EQ(res.truncated, 0u);
 }
 
-// (2) The MVCC snapshot against single-op writer churn: a pinned reader must
+// (2) A reader's Enter racing an advance: the reader follows a shared head
+// pointer under its guard while the writer unlinks that node, retires it and
+// drives advances. kEpochAnnounce splits the reader's announcement from its
+// epoch re-check and kEpochAdvance splits the advancer's epoch load from its
+// fence + scan, so every ordering of the two handshakes is explored: a node
+// the reader saw linked must stay unfreed for as long as its guard is held.
+TEST(SchedExploreEpoch, ReaderEnterRacingAnAdvanceKeepsItsNode) {
+  struct Node {
+    std::atomic<bool> freed{false};
+  };
+  struct Shared {
+    EpochManager* mgr = nullptr;
+    Node node;
+    std::atomic<Node*> head{nullptr};
+    std::atomic<bool> violation{false};
+  };
+  auto* sh = new Shared;
+  auto make_bodies = [sh]() {
+    delete sh->mgr;  // previous schedule's manager; its threads have exited
+    sh->mgr = new EpochManager;
+    sh->node.freed.store(false);
+    sh->head.store(&sh->node);
+    sh->violation.store(false);
+    std::vector<std::function<void()>> bodies;
+    bodies.push_back([sh] {  // the reader: enter, follow the head, hold
+      EpochManager::Guard g(*sh->mgr);
+      Node* n = sh->head.load();
+      if (n == nullptr) {
+        return;  // entered after the unlink: no claim to make
+      }
+      if (n->freed.load()) {
+        sh->violation.store(true);
+      }
+      sched::TestPoint(sched::kTestPointBase + 13);
+      if (n->freed.load()) {
+        sh->violation.store(true);
+      }
+    });
+    bodies.push_back([sh] {  // advance first, then unlink + retire, then advance
+      sh->mgr->ReclaimAllForTesting();
+      {
+        EpochManager::Guard g(*sh->mgr);
+        Node* n = sh->head.exchange(nullptr);
+        sh->mgr->Retire(static_cast<void*>(n), [](void* p) {
+          static_cast<Node*>(p)->freed.store(true);
+        });
+      }
+      sh->mgr->ReclaimAllForTesting();
+    });
+    return bodies;
+  };
+  std::uint64_t schedules_that_freed = 0;
+  auto check = [sh, &schedules_that_freed] {
+    schedules_that_freed += sh->node.freed.load() ? 1 : 0;
+    return !sh->violation.load();
+  };
+  failpoint::ResetSiteHits();
+  Explorer::Options opt;
+  opt.preemption_bound = 2;
+  opt.stop_on_violation = true;
+  const Explorer::Result res = Explorer::Explore(make_bodies, check, opt);
+  EXPECT_FALSE(res.violation_found)
+      << "a node the reader saw linked was freed under its guard on: "
+      << sched::FormatTrace(res.violation_trace);
+  EXPECT_TRUE(res.frontier_exhausted);
+  EXPECT_EQ(res.divergences, 0u);
+  EXPECT_EQ(res.truncated, 0u);
+  EXPECT_GT(res.schedules, 20u);
+  EXPECT_GT(schedules_that_freed, 0u) << "no schedule ever freed the node";
+  EXPECT_GT(failpoint::SiteHits(failpoint::Site::kEpochAnnounce), 0u);
+  EXPECT_GT(failpoint::SiteHits(failpoint::Site::kEpochAdvance), 0u);
+}
+
+// (3) The MVCC snapshot against single-op writer churn: a pinned reader must
 // see ONE stable value across repeated reads of a slot the writer overwrites
 // between them, on every schedule. Decision points: the writer's publish
 // window (kVersionRetire on trims, kDoneStampAdvance on every done-stamp
