@@ -69,6 +69,7 @@ enum class Site : int {
   kDoneStampAdvance,   // done-stamp scan over the pinned-snapshot registry
   kVersionRetire,      // version node unlinked and handed to reclamation
   kEpochAnnounce,      // Guard entry: activity stored, epoch re-check not yet run
+  kSnapshotHeadLoad,   // snapshot read: chain head loaded, its stamp not yet
   kCount,
 };
 
@@ -112,6 +113,8 @@ inline const char* SiteName(Site s) {
       return "version-retire";
     case Site::kEpochAnnounce:
       return "epoch-announce";
+    case Site::kSnapshotHeadLoad:
+      return "snapshot-head-load";
     default:
       return "?";
   }

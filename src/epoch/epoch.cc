@@ -210,7 +210,7 @@ void EpochManager::Retire(void* p, void (*deleter)(void*)) {
   // Schedule point (PR 8): an object entering limbo while a concurrent
   // advance scans — the reclamation race the 3-bag residue argument covers.
   SPECTM_SCHED_POINT(failpoint::Site::kEpochRetire);
-  const std::uint64_t e = global_epoch_->load(std::memory_order_acquire);
+  const std::uint64_t e = UnlinkEpoch();
   LimboBag& bag = ts->bags[e % 3];
   if (bag.epoch != e) {
     // This residue-class bag holds objects from epoch e - 3, which is freeable now
@@ -300,10 +300,7 @@ std::size_t EpochManager::PendingCount() const {
 
 void EpochManager::ReclaimAllForTesting() {
   for (int i = 0; i < 8; ++i) {
-    // Each Enter/advance/Exit round can move the epoch forward by one.
-    ThreadState* ts = Enter();
-    TryAdvanceAndReclaim(ts);
-    Exit(ts);
+    TryAdvance();  // each round can move the epoch forward by one
   }
   const std::uint64_t now = global_epoch_->load(std::memory_order_seq_cst);
   const int claimed = ClaimedSlots();

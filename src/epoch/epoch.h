@@ -106,6 +106,30 @@ class EpochManager {
     Retire(static_cast<void*>(p), [](void* q) { delete static_cast<T*>(q); });
   }
 
+  // The epoch to tag an object with that the caller has just unlinked: a region
+  // that may still hold a reference was announced at or below the returned e, so
+  // the object may be reused or freed once GlobalEpoch() >= e + 2. Caller holds a
+  // Guard. The seq_cst fence orders the unlink before the epoch load; without it
+  // the load could run ahead of a still-buffered unlink store, and a reader that
+  // announced e + 1 could yet load the old pointer (docs/VALIDATION.md §11.6).
+  // Retire tags its bags with this; reclaimers that park objects themselves (the
+  // MVCC node pool's limbo, src/tm/mvcc.h) tag with it too.
+  std::uint64_t UnlinkEpoch() const {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    return global_epoch_->load(std::memory_order_acquire);
+  }
+
+  // Attempts one epoch advance, then frees what this thread's bags and the orphan
+  // list allow. Retire calls it every kScanInterval retires; a reclaimer that
+  // parks objects outside Retire's bags calls it itself, since no Retire traffic
+  // may be there to move the epoch. Legal inside or outside a Guard; inside one,
+  // the caller's own announcement lets the epoch move at most one step.
+  void TryAdvance() {
+    ThreadState* ts = Enter();
+    TryAdvanceAndReclaim(ts);
+    Exit(ts);
+  }
+
   // --- Snapshot pins (MVCC, src/tm/mvcc.h) ------------------------------------------
   //
   // A read-only snapshot transaction publishes the commit-clock value it reads

@@ -22,13 +22,17 @@
 //
 // Reclamation: a node can no longer be SELECTED by any snapshot reader once
 // stamp <= done_stamp (EpochManager::SnapshotDoneStamp — the minimum pinned
-// snapshot, bounded by a pre-scan clock sample); such nodes are recycled
-// immediately into the type-stable per-thread pool, and chain-bound overflow
-// drops (stamp > done_stamp) park on a deferred list until the done stamp
-// catches up. Selection-dead is not touch-dead — a reader that loaded a chain
-// pointer just before the unlink may still dereference the node's stamp once —
-// so memory only returns to the allocator through the epoch manager's Retire,
+// snapshot, bounded by a pre-scan clock sample); chain-bound overflow drops
+// (stamp > done_stamp) park on a deferred list until the done stamp catches
+// up. Selection-dead is not touch-dead: a reader that loaded a chain pointer
+// just before the unlink may still load the node's stamp, floor and word. If
+// the node had been handed straight to the next publish, the reader would
+// see another slot's version there, with a fresh stamp and an old floor, and
+// return that slot's word as its own. So a selection-dead node waits out an
+// epoch grace period in its pool's limbo before any publish may reuse it,
+// memory only returns to the allocator through the epoch manager's Retire,
 // and snapshot transactions hold an epoch Guard for their pinned duration.
+// The pin bound covers selection; the grace period covers touch and reuse.
 // docs/VALIDATION.md §10 carries the full argument.
 #ifndef SPECTM_TM_MVCC_H_
 #define SPECTM_TM_MVCC_H_
@@ -84,37 +88,61 @@ inline Spill& GlobalSpill() {
 
 }  // namespace internal
 
+// The epoch manager carrying the snapshot-pin registry (and done stamp) for
+// the val-layout MVCC domain. Snapshot transactions pin here; version
+// reclamation bounds itself here.
+inline EpochManager& MvccEpoch() { return GlobalEpochManager(); }
+
 // Per-thread node allocator. Recycle() is only legal for nodes proven
-// unreachable-for-SELECTION (stamp <= done_stamp at unlink, or never
-// published); anything else goes through Defer() and waits for the done
-// stamp. Selection-dead is weaker than touch-dead: a snapshot reader that
-// loaded a chain pointer just before the unlink may still dereference the
-// node's stamp word once, so recycled nodes stay type-stable in the pool and
-// every path that returns memory to the allocator goes through the epoch
-// manager's Retire (snapshot transactions hold an epoch Guard while pinned,
-// so a free can never land under a reader mid-traversal).
+// unreachable-for-SELECTION (stamp <= done_stamp at unlink); anything else goes
+// through Defer() and waits for the done stamp. Selection-dead is weaker than
+// touch-dead: a snapshot reader that loaded a chain pointer just before the
+// unlink may still read the node. Recycle() therefore leaves the node as it is
+// and parks it in a bounded FIFO limbo, tagged under a Guard with
+// EpochManager::UnlinkEpoch(); Acquire() reuses it only once the global epoch
+// is two past the tag, when every guard that could hold it has exited
+// (snapshot transactions hold one while pinned). Limbo overflow, the spill
+// drain and thread exit hand nodes to the epoch manager's Retire, so no node
+// is reused or freed under a reader mid-traversal. No Retire traffic may be
+// there to move the epoch, so every kAdvanceInterval recycles try to advance
+// it.
 class NodePool {
  public:
-  static constexpr std::size_t kMaxFree = 256;
+  static constexpr std::size_t kMaxFree = 256;  // limbo bound
+  static constexpr std::size_t kAdvanceInterval = 64;
+
+  NodePool() = default;
+  // The destructor hands the limbo to the spill; a copy would hand it twice.
+  NodePool(const NodePool&) = delete;
+  NodePool& operator=(const NodePool&) = delete;
 
   VersionNode* Acquire() {
-    if (!free_.empty()) {
-      VersionNode* n = free_.back();
-      free_.pop_back();
-      return n;
+    if (limbo_size_ != 0) {
+      const LimboNode& oldest = limbo_[limbo_head_];
+      if (oldest.epoch + 2 <= MvccEpoch().GlobalEpoch()) {
+        VersionNode* n = oldest.node;
+        limbo_head_ = (limbo_head_ + 1) % kMaxFree;
+        --limbo_size_;
+        return n;
+      }
     }
     return new VersionNode;
   }
 
+  // Tags are loaded in push order from a monotonic epoch, so the limbo is
+  // sorted by tag and Acquire need only look at its oldest entry.
   void Recycle(VersionNode* n) {
-    n->stamp.store(kUnstamped, std::memory_order_relaxed);
-    n->next.store(nullptr, std::memory_order_relaxed);
-    if (free_.size() < kMaxFree) {
-      free_.push_back(n);
+    EpochManager& mgr = MvccEpoch();
+    EpochManager::Guard g(mgr);
+    if (limbo_size_ < kMaxFree) {
+      limbo_[(limbo_head_ + limbo_size_) % kMaxFree] = LimboNode{n, mgr.UnlinkEpoch()};
+      ++limbo_size_;
     } else {
-      EpochManager& mgr = GlobalEpochManager();
-      EpochManager::Guard g(mgr);
       mgr.Retire(n);
+    }
+    if (++recycles_since_advance_ >= kAdvanceInterval) {
+      recycles_since_advance_ = 0;
+      mgr.TryAdvance();
     }
   }
 
@@ -138,7 +166,7 @@ class NodePool {
     if (!lock.owns_lock()) {
       return;
     }
-    EpochManager& mgr = GlobalEpochManager();
+    EpochManager& mgr = MvccEpoch();
     EpochManager::Guard g(mgr);
     for (std::size_t i = 0; i < spill.nodes.size();) {
       if (spill.nodes[i].stamp <= done_stamp) {
@@ -155,25 +183,33 @@ class NodePool {
 
   ~NodePool() {
     // Runs from a TLS destructor: the epoch manager's own thread cache may
-    // already be torn down, so no Enter/Retire here. Free-list nodes may
-    // still be transiently dereferenced by a reader that loaded a chain
-    // pointer just before their unlink (stamp 0 = selection-dead at once),
-    // so they join the spill too and a live pool's DrainDeferred retires
-    // them through the epoch manager. The spill itself is reachable-forever
-    // by design, so anything no thread drains stays reachable, not leaked.
-    if (free_.empty() && deferred_.empty()) {
+    // already be torn down, so no Enter/Retire here. Limbo nodes may still be
+    // read by a reader that loaded a chain pointer just before their unlink
+    // (stamp 0 = selection-dead at once), so they join the spill and a live
+    // pool's DrainDeferred retires them through the epoch manager. The spill
+    // itself is reachable-forever by design, so anything no thread drains
+    // stays reachable, not leaked.
+    if (limbo_size_ == 0 && deferred_.empty()) {
       return;
     }
     internal::Spill& spill = internal::GlobalSpill();
     std::lock_guard<std::mutex> lock(spill.mu);
-    for (VersionNode* n : free_) {
-      spill.nodes.push_back(DeferredNode{n, 0});
+    for (std::size_t i = 0; i < limbo_size_; ++i) {
+      spill.nodes.push_back(DeferredNode{limbo_[(limbo_head_ + i) % kMaxFree].node, 0});
     }
     spill.nodes.insert(spill.nodes.end(), deferred_.begin(), deferred_.end());
   }
 
  private:
-  std::vector<VersionNode*> free_;
+  struct LimboNode {
+    VersionNode* node;
+    std::uint64_t epoch;  // UnlinkEpoch() at recycle
+  };
+
+  LimboNode limbo_[kMaxFree] = {};
+  std::size_t limbo_head_ = 0;  // oldest entry
+  std::size_t limbo_size_ = 0;
+  std::size_t recycles_since_advance_ = 0;
   std::vector<DeferredNode> deferred_;
 };
 
@@ -181,11 +217,6 @@ inline NodePool& Pool() {
   thread_local NodePool pool;
   return pool;
 }
-
-// The epoch manager carrying the snapshot-pin registry (and done stamp) for
-// the val-layout MVCC domain. Snapshot transactions pin here; version
-// reclamation bounds itself here.
-inline EpochManager& MvccEpoch() { return GlobalEpochManager(); }
 
 struct PublishStats {
   int retired = 0;   // nodes unlinked (recycled or deferred)

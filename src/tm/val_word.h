@@ -240,6 +240,10 @@ inline SnapshotReadResult SnapshotReadSlot(SnapSlot* s, Word snapshot) {
   for (int spins = 0;; ++spins) {
     const Word w = s->word.load(std::memory_order_acquire);
     mvcc::VersionNode* head = s->versions.load(std::memory_order_acquire);
+    // Schedule point: a writer may push over `head` and trim it here, so the
+    // node is read below only because the pool's grace period keeps it from
+    // reuse until this reader's Guard exits (mvcc.h NodePool).
+    SPECTM_SCHED_POINT(failpoint::Site::kSnapshotHeadLoad);
     const Word head_stamp =
         (head != nullptr) ? head->stamp.load(std::memory_order_acquire) : 0;
     if (!ValIsLocked(w)) {

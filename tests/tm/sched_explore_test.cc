@@ -558,6 +558,76 @@ TEST(SchedExploreMvcc, PinnedSnapshotIsStableAcrossWriterChurn) {
   EXPECT_GT(res.schedules, 10u);
 }
 
+// (4) The version-node reuse ABA, on a two-slot transfer. Both slots are
+// seeded before the pin, so both chains have heads stamped at or below it,
+// and the transfer's publish trims both heads. With immediate pool reuse the
+// node trimmed from x came straight back as y's new head, rewritten with y's
+// displaced word, a floor below the pin and a stamp above it; a reader that
+// loaded x's head just before the commit (snapshot-head-load) then returned
+// y's word as x's value. The pool's grace period (mvcc.h NodePool) keeps
+// every schedule's sum whole.
+TEST(SchedExploreMvcc, TransferNeverTearsAPinnedTwoSlotScan) {
+  constexpr Word kTotal = 10;
+  // Static slots keep every chain node reachable after the test.
+  static ValSnap::Slot xs, ys;
+  ValSnap::Slot* x = &xs;
+  ValSnap::Slot* y = &ys;
+  std::atomic<bool> violation{false};
+  auto make_bodies = [&]() {
+    ValSnap::SingleWrite(x, EncodeInt(kTotal));
+    ValSnap::SingleWrite(y, EncodeInt(0));
+    violation.store(false);
+    std::vector<std::function<void()>> bodies;
+    bodies.push_back([&] {  // pinned scanner: x then y, one cut
+      ValSnap::Full::Atomically([&](ValSnap::FullTx& tx) {
+        const Word vx = tx.Read(x);
+        if (!tx.ok()) {
+          return;
+        }
+        const Word vy = tx.Read(y);
+        if (!tx.ok()) {
+          return;
+        }
+        if (DecodeInt(vx) + DecodeInt(vy) != kTotal) {
+          violation.store(true);  // a torn transfer
+        }
+      });
+    });
+    bodies.push_back([&] {  // transfer writer: one unit from x to y
+      ValSnap::Full::Atomically([&](ValSnap::FullTx& tx) {
+        const Word vx = tx.Read(x);
+        if (!tx.ok()) {
+          return;
+        }
+        const Word vy = tx.Read(y);
+        if (!tx.ok()) {
+          return;
+        }
+        tx.Write(x, EncodeInt(DecodeInt(vx) - 1));
+        tx.Write(y, EncodeInt(DecodeInt(vy) + 1));
+      });
+    });
+    return bodies;
+  };
+  auto check = [&] {
+    return !violation.load() && DecodeInt(ValSnap::SingleRead(x)) == kTotal - 1 &&
+           DecodeInt(ValSnap::SingleRead(y)) == 1u;
+  };
+  failpoint::ResetSiteHits();
+  Explorer::Options opt;
+  opt.preemption_bound = 2;
+  opt.stop_on_violation = true;
+  const Explorer::Result res = Explorer::Explore(make_bodies, check, opt);
+  EXPECT_FALSE(res.violation_found)
+      << "a pinned scan saw a torn transfer (or the transfer was lost) on: "
+      << sched::FormatTrace(res.violation_trace);
+  EXPECT_TRUE(res.frontier_exhausted);
+  EXPECT_EQ(res.divergences, 0u);
+  EXPECT_EQ(res.truncated, 0u);
+  EXPECT_GT(res.schedules, 10u);
+  EXPECT_GT(failpoint::SiteHits(failpoint::Site::kSnapshotHeadLoad), 0u);
+}
+
 // ---- Replay determinism on a real engine schedule ----------------------------------
 //
 // Same seed => identical decision trace, identical body-retry counters,

@@ -317,6 +317,55 @@ TEST(NodePoolReclamation, AHeldGuardBlocksRetiredNodeFrees) {
   EXPECT_GE(mgr.FreedCount() - freed_before, 32u);
 }
 
+// A recycled node is selection-dead, but a reader whose guard predates the
+// recycle may still hold a pointer to it. The pool must not hand the node to
+// the next publish until that guard has exited and the epoch has moved two
+// steps (mvcc.h NodePool): immediate reuse rewrites the node under the reader,
+// the version-node ABA ScannersSeeConsistentCutsUnderTransfer catches.
+TEST(NodePoolReclamation, RecycledNodeWaitsOutAnOlderGuard) {
+  EpochManager& mgr = GlobalEpochManager();
+  mgr.ReclaimAllForTesting();
+  std::atomic<bool> entered{false};
+  std::atomic<bool> leave{false};
+  std::thread reader([&] {
+    EpochManager::Guard g(mgr);  // stands in for a pinned snapshot tx
+    entered.store(true);
+    while (!leave.load()) {
+      std::this_thread::yield();
+    }
+  });
+  while (!entered.load()) {
+    std::this_thread::yield();
+  }
+  mvcc::NodePool pool;
+  auto* node = new mvcc::VersionNode;
+  const std::uint64_t epoch_before_recycle = mgr.GlobalEpoch();
+  pool.Recycle(node);
+  for (int i = 0; i < 4; ++i) {
+    mgr.ReclaimAllForTesting();  // the held guard lets the epoch move one step
+    mvcc::VersionNode* fresh = pool.Acquire();
+    EXPECT_NE(fresh, node) << "a recycled node was reused under an older guard";
+    if (fresh != node) {
+      delete fresh;
+    }
+  }
+  leave.store(true);
+  reader.join();
+  bool reused = false;
+  for (int i = 0; i < 4 && !reused; ++i) {
+    mvcc::VersionNode* n = pool.Acquire();
+    if (n == node) {
+      EXPECT_GE(mgr.GlobalEpoch(), epoch_before_recycle + 2);
+      reused = true;
+    } else {
+      delete n;
+      mgr.ReclaimAllForTesting();
+    }
+  }
+  EXPECT_TRUE(reused) << "the pool never reused the node after the guard exited";
+  delete node;
+}
+
 // --- Concurrency battery (run under TSan in CI) -------------------------------------
 
 // Writers move value between two slots keeping x + y constant; snapshot
