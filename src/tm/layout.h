@@ -29,15 +29,15 @@
 namespace spectm {
 
 // Striping audit: the table packs eight 8-byte orecs per cache line, so two
-// *adjacent table indices* share a line. That is deliberate — padding 2^20 orecs
-// to a line each would inflate the table from 8 MB to 64 MB and evict the data it
-// protects. What keeps dense packing from becoming systematic false sharing is the
-// indexing policy (orec.h): under kHashed the Fibonacci hash scatters memory-
-// adjacent slots to table indices ~2^61 apart (collision only at the 8/2^20 base
-// probability); under kStriped the low address bits FORCE memory-adjacent slots
-// into segment-distant lines. The global clock and per-thread descriptors are
-// padded instead (clock.h, txdesc.h) because they are single hot words, not a
-// footprint trade.
+// *adjacent table indices* share a line. That is deliberate — padding 2^16 orecs
+// to a line each would inflate the table from 512 KiB to 4 MiB, past the L2 it is
+// sized to fit (config.h), and evict the data it protects. What keeps dense packing
+// from becoming systematic false sharing is the indexing policy (orec.h): under
+// kHashed the Fibonacci hash scatters memory-adjacent slots ~0.62 of the table apart
+// (same line only at the 8/2^16 base probability); under kStriped the low address
+// bits FORCE memory-adjacent slots into segment-distant lines. The global clock and
+// per-thread descriptors are padded instead (clock.h, txdesc.h) because they are
+// single hot words, not a footprint trade.
 template <typename DomainTag, OrecStriping kStriping>
 struct OrecLayoutBase {
   struct Slot {

@@ -163,10 +163,11 @@ TYPED_TEST(FullTmSuite, BlindWriteWithoutRead) {
 TEST(FullTmCollision, TwoSlotsOneOrec) {
   using F = OrecG;
   using Layout = OrecLayout<OrecGTag>;
-  // Fibonacci hashing is low-discrepancy on sequential addresses: the first near-
-  // return of the golden-ratio rotation tight enough for a 2^20-bucket table occurs
-  // at a lag around F(31) = 1,346,269 slots, so the probe arena must exceed that.
-  constexpr int kProbe = 1700000;
+  // Fibonacci hashing is low-discrepancy on sequential addresses, so a collision
+  // needs a long lag; but 2^kOrecTableLog2 + 1 distinct slots cannot all take
+  // distinct orecs (pigeonhole), so an arena one slot larger than the table is
+  // guaranteed to contain a colliding pair whatever its base address.
+  constexpr int kProbe = (1 << kOrecTableLog2) + 1;
   static std::vector<F::Slot> arena(kProbe);  // static: the table hash uses addresses
   std::unordered_map<const void*, int> seen;
   seen.reserve(kProbe);

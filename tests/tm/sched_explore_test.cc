@@ -99,9 +99,10 @@ std::function<void()> ShortCrossingBody(typename Family::Slot* a,
 // the balance invariant held on every schedule.
 template <typename Family>
 void ExploreCrossingWindow(bool short_shape) {
-  // Slots and their storage live across all schedules; values reset per run.
-  auto* a = new typename Family::Slot();
-  auto* b = new typename Family::Slot();
+  // Static slots live across all schedules; values reset per run.
+  static typename Family::Slot a_slot, b_slot;
+  auto* a = &a_slot;
+  auto* b = &b_slot;
   auto make_bodies = [&]() {
     Family::SingleWrite(a, EncodeInt(0));
     Family::SingleWrite(b, EncodeInt(0));
@@ -383,7 +384,8 @@ TEST(SchedExploreEpoch, AdvanceNeverFreesUnderAForeignGuard) {
     std::atomic<bool> freed{false};
     std::atomic<bool> violation{false};
   };
-  auto* sh = new Shared;
+  static Shared shared;  // static: the last schedule's manager stays reachable
+  auto* sh = &shared;
   auto make_bodies = [sh]() {
     delete sh->mgr;  // previous schedule's manager; its threads have exited
     sh->mgr = new EpochManager;
@@ -450,7 +452,8 @@ TEST(SchedExploreEpoch, ReaderEnterRacingAnAdvanceKeepsItsNode) {
     std::atomic<Node*> head{nullptr};
     std::atomic<bool> violation{false};
   };
-  auto* sh = new Shared;
+  static Shared shared;  // static: the last schedule's manager stays reachable
+  auto* sh = &shared;
   auto make_bodies = [sh]() {
     delete sh->mgr;  // previous schedule's manager; its threads have exited
     sh->mgr = new EpochManager;
@@ -514,7 +517,8 @@ TEST(SchedExploreEpoch, ReaderEnterRacingAnAdvanceKeepsItsNode) {
 // scan) and the reader's chain walk — the races the two-step pin and the
 // lazy-stamp protocol exist for.
 TEST(SchedExploreMvcc, PinnedSnapshotIsStableAcrossWriterChurn) {
-  auto* s = new ValSnap::Slot();
+  static ValSnap::Slot s_slot;  // static: its chain stays reachable after the test
+  auto* s = &s_slot;
   std::atomic<bool> violation{false};
   auto make_bodies = [&]() {
     ValSnap::SingleWrite(s, EncodeInt(1));
@@ -635,8 +639,9 @@ TEST(SchedExploreMvcc, TransferNeverTearsAPinnedTwoSlotScan) {
 // determinism with probe counters).
 
 TEST(SchedExploreReplay, EngineScheduleReplaysByteIdentically) {
-  auto* a = new OrecL::Slot();
-  auto* b = new OrecL::Slot();
+  static OrecL::Slot a_slot, b_slot;
+  auto* a = &a_slot;
+  auto* b = &b_slot;
   struct Observed {
     Trace trace;
     std::array<std::uint64_t, 2> body_runs{};

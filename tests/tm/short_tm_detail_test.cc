@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -73,6 +74,24 @@ TEST(OrecTable, StripedSpreadsWithinSegment) {
     distinct.insert(&table.ForAddr(&w));
   }
   EXPECT_GT(distinct.size(), 300u);
+}
+
+// The default-size hashed table (config.h kOrecTableLog2) must scatter
+// separately heap-allocated slots at least as well as a uniform random map:
+// n = 4096 slots over N = 2^16 orecs reach N·(1 − e^(−n/N)) ≈ 3968 distinct
+// orecs by the birthday bound. A hash that clustered allocator strides would
+// fall well short and turn into false conflicts in the orec engines.
+TEST(OrecTable, HashedSpreadsHeapSlots) {
+  OrecTable table;
+  ASSERT_EQ(table.Size(), std::size_t{1} << kOrecTableLog2);
+  std::vector<std::unique_ptr<std::atomic<Word>>> slots;
+  slots.reserve(4096);
+  std::set<const void*> distinct;
+  for (int i = 0; i < 4096; ++i) {
+    slots.push_back(std::make_unique<std::atomic<Word>>(0));
+    distinct.insert(&table.ForAddr(slots.back().get()));
+  }
+  EXPECT_GE(distinct.size(), 3800u);
 }
 
 // --- Abort semantics ----------------------------------------------------------------------
