@@ -1,6 +1,6 @@
 // Adaptive validation engine ablation (valstrategy.h): fixed strategies
-// (incremental / counter-skip / bloom) vs the EWMA-adaptive engine, on the two
-// layouts whose full transactions pay per-read O(read-set) revalidation — the
+// (incremental / counter-skip / bloom on the orec layout, bloom on the val
+// layout) vs the EWMA-adaptive engine, on the two layouts whose full transactions pay per-read O(read-set) revalidation — the
 // local-clock orec family (§4.1's "-l" cost) and the counter-validated val layout
 // (Figure 5's dominant cost).
 //
@@ -432,10 +432,9 @@ bool Run(const std::string& json_path) {
     orec_rows.push_back(MeasureFamily<OrecLAdaptive>("adaptive", wl, max_threads));
     EmitGroup(report, "orec-full-l", "local", wl, max_threads, orec_rows);
 
-    // Counter-validated val layout: same strategy sweep over one protocol.
+    // Counter-validated val layout: the bloom and adaptive strategies over one
+    // protocol.
     std::vector<Row> val_rows;
-    val_rows.push_back(MeasureFamily<ValIncremental>("incremental", wl, max_threads));
-    val_rows.push_back(MeasureFamily<ValCounterSkip>("counter-skip", wl, max_threads));
     val_rows.push_back(MeasureFamily<ValBloom>("bloom", wl, max_threads));
     val_rows.push_back(MeasureFamily<ValAdaptive>("adaptive", wl, max_threads));
     EmitGroup(report, "val-full", "none", wl, max_threads, val_rows);

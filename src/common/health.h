@@ -30,8 +30,8 @@
 //     integration layer and stored per-thread (LastSnapshot), so a failure in
 //     an injected schedule is replayable from the dump alone.
 //
-// Exit is hysteretic, like every other adaptive edge in this tree (GV6 clock,
-// strategy bands, CM cooldown): enter at >= 1/2 of a window aborted, exit only
+// Exit is hysteretic, like every other adaptive edge in this tree (strategy
+// bands, CM cooldown): enter at >= 1/2 of a window aborted, exit only
 // when <= 1/8 aborts — a wiggling workload keeps its state instead of flapping.
 #ifndef SPECTM_COMMON_HEALTH_H_
 #define SPECTM_COMMON_HEALTH_H_

@@ -32,7 +32,7 @@
 //   The seq_cst fence in NextCommitStamp() is what makes "lock stores precede the
 //   clock load" a cross-thread ordering fact rather than an x86 accident.
 //
-// Thread-local sample cache (GV4/GV6): after a commit at wv, the next
+// Thread-local sample cache (GV4): after a commit at wv, the next
 // kClockSampleReuse Sample() calls from the same thread return wv without touching
 // the shared line. Any value <= the current clock is a valid snapshot (a smaller rv
 // only costs extra extensions), and wv <= clock always holds; moreover the same-wv
@@ -41,27 +41,6 @@
 // as sound as single-use. The reuse count is bounded so read-dominated phases still
 // observe other threads' commits promptly: staleness is capped at kClockSampleReuse
 // transaction starts, after which the shared line is reloaded.
-//
-// GV5 (TL2's cheapest scheme) removes the commit-side RMW entirely: a writer's
-// timestamp is clock+1 WITHOUT advancing the clock, so concurrent writers share
-// timestamps and versions run ahead of the clock. Soundness here rests on two rules:
-//   * per-orec versions stay strictly monotone: ReleaseVersion() bumps to
-//     max(wv, old+1), so repeated same-wv commits to one orec remain
-//     distinguishable to validators (required by the short-tx RO protocol, which
-//     has no rv to reject "too new" versions with);
-//   * full-tx readers reject any version > rv at read time (the engine's existing
-//     extension path) and nudge the lagging clock forward via OnStaleRead()'s
-//     CAS-max — the only RMW GV5 ever performs, paid on the stale-read path
-//     instead of on every writer commit.
-//   Why a reader can never be fooled by a shared timestamp: to log version v it
-//   needed rv >= v, hence clock >= v before its read; any writer that later locks
-//   that orec draws wv = clock+1 >= v+1, so the version cannot repeat at v.
-//
-// GV6 is the adaptive hybrid: each commit-stamp draw picks GV4 (CAS; versions track
-// the clock tightly) or GV5 (no RMW, more false aborts) from the descriptor's
-// abort-rate EWMA — contended phases buy precision, quiet phases run RMW-free.
-// GV6 stamps are NEVER flagged unique, even on a won CAS: TL2's unique-stamp
-// shortcut needs every writer to RMW the clock, and the hybrid's GV5 draws don't.
 //
 // Every policy exposes per-thread ClockProbe counters (plain thread-local integers,
 // no shared state) so tests and benches can assert hot-path properties — e.g. that
@@ -99,9 +78,6 @@ struct ClockProbe {
     std::uint64_t shared_loads = 0;    // loads of the shared clock cache line
     std::uint64_t rmw_draws = 0;       // fetch_add/CAS commit-stamp draws
     std::uint64_t cached_samples = 0;  // Sample() calls served from the local cache
-    std::uint64_t nocas_draws = 0;     // GV5-style load-only commit-stamp draws
-    std::uint64_t stale_advances = 0;  // reader-side CAS-max clock catch-ups (GV5/6)
-    std::uint64_t mode_flips = 0;      // GV6 hysteresis transitions (GV4 <-> GV5)
   };
   static Counters& Get() {
     thread_local Counters counters;
@@ -139,8 +115,8 @@ struct GlobalClockNaive {
   // Version released into an orec after a commit at timestamp wv.
   static Word ReleaseVersion(Word wv, Word /*old_orec_word*/) { return wv; }
 
-  // Hook for engines observing an orec version ahead of their snapshot; only the
-  // GV5-style policies (whose clock can lag published versions) need to act.
+  // Hook for engines observing an orec version ahead of their snapshot; only a
+  // policy that caches its samples (GV4) has anything to refresh.
   static void OnStaleRead(Word /*version*/) {}
 };
 
@@ -218,188 +194,6 @@ struct GlobalClockGv4 {
   struct SampleCache {
     Word value = 0;
     int uses_left = 0;
-  };
-  static SampleCache& Cache() {
-    thread_local SampleCache cache;
-    return cache;
-  }
-};
-
-// TL2's GV5: commit timestamps are clock+1 WITHOUT advancing the clock — the
-// commit path performs no RMW at all. Concurrent writers share timestamps (stamps
-// are never `unique`), versions run ahead of the clock (more false aborts), and
-// per-orec monotonicity is restored by the max-bump in ReleaseVersion(). Readers
-// that trip over a version ahead of their snapshot pull the clock forward via
-// OnStaleRead() — the only RMW in the policy, paid on the conflict path instead of
-// on every writer commit. See the file comment for the safety argument.
-template <typename DomainTag>
-struct GlobalClockGv5 {
-  static constexpr bool kHasGlobalClock = true;
-  static constexpr const char* kName = "gv5";
-
-  static std::atomic<Word>& Clock() {
-    static CacheAligned<std::atomic<Word>> clock;
-    return *clock;
-  }
-
-  static Word Sample() {
-    ++ClockProbe<DomainTag>::Get().shared_loads;
-    return Clock().load(std::memory_order_seq_cst);
-  }
-
-  // One shared LOAD; never a CAS, never a retry. Callers hold their entire write
-  // set locked (as with GV4) — the fence orders those lock stores before the clock
-  // load on weakly-ordered machines.
-  static CommitStamp NextCommitStamp() {
-    ++ClockProbe<DomainTag>::Get().nocas_draws;
-#if !(defined(__x86_64__) || defined(__i386__))
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-#endif
-    return CommitStamp{Clock().load(std::memory_order_seq_cst) + 1, false};
-  }
-
-  static Word NextCommitVersion() { return NextCommitStamp().wv; }
-
-  // Strict per-orec monotonicity even when wv repeats: two same-wv commits to one
-  // orec must stay distinguishable to validators (the short-tx RO protocol compares
-  // versions with no rv to reject "too new" ones, so version reuse would admit
-  // torn reads there).
-  static Word ReleaseVersion(Word wv, Word old_orec_word) {
-    const Word floor = OrecVersionOf(old_orec_word) + 1;
-    return wv > floor ? wv : floor;
-  }
-
-  // A reader saw an orec at `version` > its snapshot: drag the clock up so its
-  // extension (and every future rv) can admit that version. CAS-max, best effort —
-  // losing the race means someone else advanced it at least as far.
-  static void OnStaleRead(Word version) {
-    Word cur = Clock().load(std::memory_order_seq_cst);
-    while (cur < version) {
-      if (Clock().compare_exchange_weak(cur, version, std::memory_order_seq_cst,
-                                        std::memory_order_seq_cst)) {
-        ++ClockProbe<DomainTag>::Get().stale_advances;
-        return;
-      }
-    }
-  }
-};
-
-// GV6-style adaptive hybrid: pick GV4 or GV5 per commit-stamp draw from the
-// descriptor's abort-rate EWMA. Quiet phases (low abort rate — false aborts cheap
-// and rare) draw RMW-free GV5 stamps; contended phases (high abort rate — every
-// extra false abort compounds) pay the GV4 CAS for unique stamps and versions that
-// track the clock tightly. ReleaseVersion max-bumps unconditionally because GV5
-// draws can collide with versions already published by GV4 draws.
-//
-// The flip is HYSTERETIC (ROADMAP item): a single threshold made border
-// workloads — whose EWMA hovers around it, crossing on every few outcomes —
-// alternate draw flavors pathologically (each flavor's cost profile defeats the
-// other's assumption: GV5 draws inflate false aborts which push the EWMA up into
-// GV4, whose CASes calm it back down, forever). Separate enter/exit thresholds
-// make a flip require the EWMA to traverse the whole dead band, i.e. a genuine
-// phase change, not noise; ClockProbe::mode_flips counts the transitions so the
-// damping is testable (clock_gv56_test) and observable in benches.
-template <typename DomainTag>
-struct GlobalClockGv6 {
-  static constexpr bool kHasGlobalClock = true;
-  static constexpr const char* kName = "gv6";
-
-  // Rising through kGv4EnterThresholdQ16 (~6.25% abort rate) switches the
-  // thread's draws to GV4; only falling below kGv4ExitThresholdQ16 (~3.1%)
-  // switches back to GV5. Between the two, the current mode sticks.
-  static constexpr std::uint32_t kGv4EnterThresholdQ16 = 1u << 12;
-  static constexpr std::uint32_t kGv4ExitThresholdQ16 = 1u << 11;
-  static_assert(kGv4ExitThresholdQ16 < kGv4EnterThresholdQ16,
-                "the dead band must be non-empty or the hysteresis degenerates "
-                "to the old single-threshold flapping");
-
-  static std::atomic<Word>& Clock() {
-    static CacheAligned<std::atomic<Word>> clock;
-    return *clock;
-  }
-
-  static Word Sample() {
-    SampleCache& cache = Cache();
-    if (cache.uses_left > 0) {
-      --cache.uses_left;
-      ++ClockProbe<DomainTag>::Get().cached_samples;
-      return cache.value;
-    }
-    ++ClockProbe<DomainTag>::Get().shared_loads;
-    return Clock().load(std::memory_order_seq_cst);
-  }
-
-  static CommitStamp NextCommitStamp() {
-#if !(defined(__x86_64__) || defined(__i386__))
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-#endif
-    SampleCache& mode = Cache();
-    const std::uint32_t ewma = AbortEwmaQ16(DescOf<DomainTag>().stats);
-    if (mode.gv4_mode) {
-      if (ewma < kGv4ExitThresholdQ16) {
-        mode.gv4_mode = false;
-        ++ClockProbe<DomainTag>::Get().mode_flips;
-      }
-    } else {
-      if (ewma >= kGv4EnterThresholdQ16) {
-        mode.gv4_mode = true;
-        ++ClockProbe<DomainTag>::Get().mode_flips;
-      }
-    }
-    if (!mode.gv4_mode) {
-      // GV5 path: load-only draw; the clock did not move, so there is no fresh
-      // value worth caching.
-      ++ClockProbe<DomainTag>::Get().nocas_draws;
-      return CommitStamp{Clock().load(std::memory_order_seq_cst) + 1, false};
-    }
-    // GV4 path: pass-on-failure CAS; cache the result. NEVER flagged unique:
-    // TL2's unique-stamp shortcut infers "no commit since rv" from "my CAS won
-    // at rv+1", which requires EVERY writer to RMW the clock — the hybrid's GV5
-    // draws do not, so a GV5 commit can hide inside the window and the shortcut
-    // would skip validation past it.
-    ++ClockProbe<DomainTag>::Get().rmw_draws;
-    Word seen = Clock().load(std::memory_order_seq_cst);
-    CommitStamp stamp;
-    if (Clock().compare_exchange_strong(seen, seen + 1, std::memory_order_seq_cst,
-                                        std::memory_order_seq_cst)) {
-      stamp = CommitStamp{seen + 1, false};
-    } else {
-      stamp = CommitStamp{seen, false};
-    }
-    SampleCache& cache = Cache();
-    cache.value = stamp.wv;
-    cache.uses_left = kClockSampleReuse;
-    return stamp;
-  }
-
-  static Word NextCommitVersion() { return NextCommitStamp().wv; }
-
-  static Word ReleaseVersion(Word wv, Word old_orec_word) {
-    const Word floor = OrecVersionOf(old_orec_word) + 1;
-    return wv > floor ? wv : floor;
-  }
-
-  static void OnStaleRead(Word version) {
-    // The caller is about to extend; a cached (pre-advance) sample would make it
-    // walk repeatedly against a still-stale rv, so drop the cache first.
-    Cache().uses_left = 0;
-    Word cur = Clock().load(std::memory_order_seq_cst);
-    while (cur < version) {
-      if (Clock().compare_exchange_weak(cur, version, std::memory_order_seq_cst,
-                                        std::memory_order_seq_cst)) {
-        ++ClockProbe<DomainTag>::Get().stale_advances;
-        return;
-      }
-    }
-  }
-
- private:
-  // Per-thread clock state: the GV4-style sample cache plus the hysteretic mode
-  // bit (per-thread because the steering EWMA is per-descriptor, i.e. per-thread).
-  struct SampleCache {
-    Word value = 0;
-    int uses_left = 0;
-    bool gv4_mode = false;
   };
   static SampleCache& Cache() {
     thread_local SampleCache cache;

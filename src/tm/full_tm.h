@@ -168,8 +168,8 @@ class FullTm {
         // re-observe, so it goes into the log's expected-word lane verbatim.
         if constexpr (Clock::kHasGlobalClock) {
           if (OrecVersionOf(o1) > rv_) {
-            // GV5-style clocks can lag published versions; give the policy a chance
-            // to drag the clock up so the extension below can succeed.
+            // The clock moved past rv; let the policy refresh its cached sample
+            // so the extension below reloads the real clock.
             Clock::OnStaleRead(OrecVersionOf(o1));
             // Timebase extension: advance the snapshot if the read set still holds.
             if (!Extend()) {
@@ -293,7 +293,7 @@ class FullTm {
         skip_validation = stamp.unique && wv == rv_ + 1;
       }
       Word own_idx = 0;
-      unsigned write_stripes = 0;
+      WriteSignature<Summary::kHasBloomRing> write_sig;
       if constexpr (kMode != ValMode::kPassive) {
         // Writer summary: bump-and-publish while every commit lock is held, BEFORE
         // the commit-time validation below and before any data store or orec
@@ -302,17 +302,10 @@ class FullTm {
         // fails its own skip test and walks into the first one's locks. The
         // stripe mask shards the bump: only the counter stripes this write set
         // touches move, so disjoint-stripe readers keep their anchors.
-        Bloom128 write_bloom;
         for (const LockLogEntry& l : desc_->lock_log) {
-          write_bloom |= AddrBloom128(l.orec);
-          write_stripes |= 1u << CounterStripeOf(l.orec);
+          write_sig.Add(l.orec);
         }
-        own_idx = Summary::PublishAndBump(write_bloom, write_stripes);
-        ++Probe::Get().summary_publishes;
-        if constexpr (kMode == ValMode::kPartitioned) {
-          Probe::Get().stripe_bumps +=
-              static_cast<std::uint64_t>(CountStripeBits(write_stripes));
-        }
+        own_idx = PublishWriterCommit<Summary, Probe>(desc_, write_sig);
       }
       if constexpr (kStrategicReads) {
         // Commit-time skip (StrategyState): own_idx == sample + 1 proves no
@@ -323,8 +316,8 @@ class FullTm {
         // intervene as long as their write blooms miss our read bloom. Our own
         // commit locks pin the write set regardless.
         if (!skip_validation &&
-            state_.TrySkipCommit(own_idx, write_stripes, desc_->read_log.Size(),
-                                 LoggedOrecs())) {
+            state_.TrySkipCommit(own_idx, write_sig.stripes,
+                                 desc_->read_log.Size(), LoggedOrecs())) {
           skip_validation = true;
         }
       }

@@ -33,7 +33,7 @@
 //
 // Hysteresis: a serial commit starts a cooldown of kSerialCooldownCommits
 // optimistic commits during which the escalation threshold is doubled, so one
-// contention storm does not pin the system serial (mirrors the GV6 / adaptive
+// contention storm does not pin the system serial (mirrors the adaptive
 // strategy dead-band pattern).
 #ifndef SPECTM_TM_SERIAL_H_
 #define SPECTM_TM_SERIAL_H_

@@ -486,21 +486,14 @@ class ShortTm {
         if (rw_.Empty()) {
           return 0;
         }
-        Bloom128 bloom;
-        unsigned stripes = 0;
+        WriteSignature<Summary::kHasBloomRing> sig;
         for (const RwEntry& e : rw_) {
-          bloom |= AddrBloom128(e.orec);
-          stripes |= 1u << CounterStripeOf(e.orec);
+          sig.Add(e.orec);
         }
         if (out_stripes != nullptr) {
-          *out_stripes = stripes;
+          *out_stripes = sig.stripes;
         }
-        ++Probe::Get().summary_publishes;
-        if constexpr (kMode == ValMode::kPartitioned) {
-          Probe::Get().stripe_bumps +=
-              static_cast<std::uint64_t>(CountStripeBits(stripes));
-        }
-        return Summary::PublishAndBump(bloom, stripes);
+        return PublishWriterCommit<Summary, Probe>(desc_, sig);
       }
       return 0;
     }
@@ -631,12 +624,7 @@ class ShortTm {
       orec.store(old_word, std::memory_order_release);
     });
     if constexpr (kStrategic) {
-      // Locked, before the data store; one location -> one stripe bumped.
-      if constexpr (kMode == ValMode::kPartitioned) {
-        ++Probe::Get().stripe_bumps;
-      }
-      Summary::PublishAndBump(AddrBloom128(&orec),
-                              1u << CounterStripeOf(&orec));
+      PublishSingle(&orec, self);  // locked, before the data store
     }
     Layout::Data(*s).store(value, std::memory_order_release);
     Word wv = 0;
@@ -667,12 +655,7 @@ class ShortTm {
       return observed;
     }
     if constexpr (kStrategic) {
-      // Locked, before the data store; one location -> one stripe bumped.
-      if constexpr (kMode == ValMode::kPartitioned) {
-        ++Probe::Get().stripe_bumps;
-      }
-      Summary::PublishAndBump(AddrBloom128(&orec),
-                              1u << CounterStripeOf(&orec));
+      PublishSingle(&orec, self);  // locked, before the data store
     }
     Layout::Data(*s).store(desired, std::memory_order_release);
     Word wv = 0;
@@ -688,6 +671,13 @@ class ShortTm {
   static TxStats& StatsForCurrentThread() { return DescOf<DomainTag>().stats; }
 
  private:
+  // Single-op writer summary: a one-location write set.
+  static void PublishSingle(const std::atomic<Word>* orec, TxDesc* self) {
+    WriteSignature<Summary::kHasBloomRing> sig;
+    sig.Add(orec);
+    PublishWriterCommit<Summary, Probe>(self, sig);
+  }
+
   // Spin-acquires an orec. Safe only for single-op transactions, which hold no other
   // locks (no deadlock) — multi-location transactions must fail fast instead.
   static Word AcquireOrec(std::atomic<Word>* orec, TxDesc* self) {

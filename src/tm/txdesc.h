@@ -32,8 +32,7 @@ namespace spectm {
 // (0 = never aborts, 65536 = always aborts). Only the owning thread writes it, on
 // every commit/abort outcome; it rides on the same padded stats cache line because
 // that line is already dirtied by the outcome counters. Atomic relaxed keeps
-// cross-thread peeks (benches, the GV6 clock reading another view of the same
-// descriptor) race-free without fencing the hot path.
+// cross-thread peeks (benches) race-free without fencing the hot path.
 struct TxStats {
   std::atomic<std::uint64_t> commits{0};
   std::atomic<std::uint64_t> aborts{0};

@@ -92,7 +92,13 @@ class ValEagerTm {
         return false;
       }
       if (wrote_) {
-        Validation::OnWriterCommit(desc_);  // for interop with validating readers
+        // For interop with validating readers: every held word, before the
+        // releasing stores.
+        WriteSignature<Validation::kHasBloomRing> sig;
+        for (const Entry& e : log_) {
+          sig.Add(&e.slot->word);
+        }
+        PublishWriterCommit<Validation, ValProbe<ValDomainTag>>(desc_, sig);
       }
       for (const Entry& e : log_) {
         e.slot->word.store(e.written ? e.new_value : e.old_value,

@@ -251,18 +251,10 @@ class ValFullTm {
         ReleaseLocks();
         OnAbort();
       });
-      Bloom128 write_bloom = Bloom128All();
-      unsigned write_stripes = kAllCounterStripesMask;
-      if constexpr (Validation::kHasBloomRing) {
-        write_bloom = Bloom128{};  // accumulated per locked entry below
-        write_stripes = 0;
-      }
+      WriteSignature<Validation::kHasBloomRing> write_sig;
       for (const WriteSet::Entry& e : desc_->wset) {
         auto* word = &static_cast<Slot*>(e.addr)->word;
-        if constexpr (Validation::kHasBloomRing) {
-          write_bloom |= AddrBloom128(word);
-          write_stripes |= 1u << CounterStripeOf(word);
-        }
+        write_sig.Add(word);
         if (SPECTM_FAILPOINT(failpoint::Site::kLockAcquire)) {
           return false;
         }
@@ -285,15 +277,7 @@ class ValFullTm {
       // crossing committers the one that bumps second fails its skip test below
       // and walks into the other's locks. Under a partitioned policy only the
       // counter stripes this write set touches are bumped.
-      const Word own_idx =
-          Validation::OnWriterCommitWithBloom(desc_, write_bloom, write_stripes);
-      if constexpr (kStrategic) {
-        ++Probe::Get().summary_publishes;
-        if constexpr (Validation::kPartitioned) {
-          Probe::Get().stripe_bumps +=
-              static_cast<std::uint64_t>(CountStripeBits(write_stripes));
-        }
-      }
+      const Word own_idx = PublishWriterCommit<Validation, Probe>(desc_, write_sig);
       // Commit-time skip (StrategyState): own bump index == anchor + 1 (or, for
       // policies without a single index, a fresh sample at anchor + 1) proves no
       // foreign writer released a value since the log was last known valid (our
@@ -303,7 +287,7 @@ class ValFullTm {
       // their write blooms miss our read bloom.
       bool skip_walk = false;
       if constexpr (kStrategic) {
-        skip_walk = state_.TrySkipCommit(own_idx, write_stripes,
+        skip_walk = state_.TrySkipCommit(own_idx, write_sig.stripes,
                                          desc_->val_read_log.Size(),
                                          LoggedWords());
       }

@@ -476,29 +476,14 @@ class ValShortTm {
       if (rw_.Empty()) {
         return 0;
       }
-      ++Probe::Get().summary_publishes;
-      if constexpr (Validation::kHasBloomRing) {
-        Bloom128 bloom;
-        unsigned stripes = 0;
-        for (const RwEntry& e : rw_) {
-          bloom |= AddrBloom128(&e.slot->word);
-          stripes |= 1u << CounterStripeOf(&e.slot->word);
-        }
-        if (out_stripes != nullptr) {
-          *out_stripes = stripes;
-        }
-        if constexpr (Validation::kPartitioned) {
-          Probe::Get().stripe_bumps +=
-              static_cast<std::uint64_t>(CountStripeBits(stripes));
-        }
-        return Validation::OnWriterCommitWithBloom(desc_, bloom, stripes);
-      } else {
-        if (out_stripes != nullptr) {
-          *out_stripes = kAllCounterStripesMask;
-        }
-        return Validation::OnWriterCommitWithBloom(desc_, Bloom128All(),
-                                                   kAllCounterStripesMask);
+      WriteSignature<Validation::kHasBloomRing> sig;
+      for (const RwEntry& e : rw_) {
+        sig.Add(&e.slot->word);
       }
+      if (out_stripes != nullptr) {
+        *out_stripes = sig.stripes;
+      }
+      return PublishWriterCommit<Validation, Probe>(desc_, sig);
     }
 
     void Finish(bool committed) {
@@ -678,11 +663,7 @@ class ValShortTm {
         }
         s->word.store(w, std::memory_order_release);
       });
-      if constexpr (Validation::kPartitioned) {
-        ++Probe::Get().stripe_bumps;
-      }
-      [[maybe_unused]] const Word own_idx = Validation::OnWriterCommitWithBloom(
-          self, AddrBloom128(&s->word), 1u << CounterStripeOf(&s->word));
+      [[maybe_unused]] const Word own_idx = PublishSingle(s, self);
       if constexpr (kSnapshotMode) {
         PublishSingleVersion(s, w, own_idx);
       }
@@ -690,7 +671,6 @@ class ValShortTm {
       lock_guard.Dismiss();  // the value store above was the lock release
       return;
     }
-    Validation::OnWriterCommit(self);
     Word w = s->word.load(std::memory_order_relaxed);
     while (true) {
       if (ValIsLocked(w)) {
@@ -741,12 +721,7 @@ class ValShortTm {
             }
             s->word.store(w, std::memory_order_release);
           });
-          if constexpr (Validation::kPartitioned) {
-            ++Probe::Get().stripe_bumps;
-          }
-          [[maybe_unused]] const Word own_idx =
-              Validation::OnWriterCommitWithBloom(
-                  self, AddrBloom128(&s->word), 1u << CounterStripeOf(&s->word));
+          [[maybe_unused]] const Word own_idx = PublishSingle(s, self);
           if constexpr (kSnapshotMode) {
             PublishSingleVersion(s, w, own_idx);
           }
@@ -756,7 +731,6 @@ class ValShortTm {
         }
       }
     }
-    Validation::OnWriterCommit(self);
     while (true) {
       Word w = s->word.load(std::memory_order_acquire);
       if (ValIsLocked(w)) {
@@ -777,6 +751,13 @@ class ValShortTm {
   static TxStats& StatsForCurrentThread() { return DescOf<ValDomainTag>().stats; }
 
  private:
+  // Single-op precise-path writer summary: a one-location write set.
+  static Word PublishSingle(Slot* s, TxDesc* self) {
+    WriteSignature<Validation::kHasBloomRing> sig;
+    sig.Add(&s->word);
+    return PublishWriterCommit<Validation, Probe>(self, sig);
+  }
+
   // Single-op precise-path version publish: one displaced value onto one
   // chain, stamped with the single-op's own commit index. Caller holds the
   // slot lock; called between the counter bump and the releasing store.

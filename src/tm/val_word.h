@@ -78,7 +78,8 @@ inline Word MakeValLocked(TxDesc* owner) {
 // --- Validation policies -------------------------------------------------------------
 //
 // Protocol shared by all writers (short RW commits, full commits, single writes):
-// while holding the lock(s), call OnWriterCommit*() BEFORE the value stores that
+// while holding the lock(s), publish through PublishWriterCommit (valstrategy.h,
+// which calls the policy's OnWriterCommit) BEFORE the value stores that
 // release them — and, for commits that validate a read set, BEFORE that final
 // validation (bump-before-validate; see the crossing-committer note in
 // valstrategy.h — a writer may only skip its commit-time walk when no foreign
@@ -100,15 +101,16 @@ inline Word MakeValLocked(TxDesc* owner) {
 // `kHasBloomRing` marks policies that additionally publish each writer's write-set
 // bloom into a WriterRing (valstrategy.h), enabling the bloom-summary skip: a
 // reader whose counter went stale can still avoid the O(read-set) walk when every
-// intervening commit's bloom is disjoint from its read bloom. Writer paths call
-// OnWriterCommitWithBloom(); policies without a ring ignore the bloom.
+// intervening commit's bloom is disjoint from its read bloom. Writers hand
+// OnWriterCommit a WriteSignature<kHasBloomRing>: ring policies receive the
+// folded write-set bloom, ring-less ones an unfolded signature they ignore.
 
 // `kPartitioned` marks policies whose counter is additionally sharded into
 // per-stripe counters keyed by the metadata word's address region
-// (valstrategy.h kCounterStripes): writers pass the stripe mask of their write
-// set to OnWriterCommitWithBloom, and readers under ValMode::kPartitioned skip
-// walks when every READ-occupied stripe is unchanged. Non-partitioned policies
-// ignore the mask; StrategyState compiles the stripe paths out for them.
+// (valstrategy.h kCounterStripes): writers' signatures carry the stripe mask of
+// their write set, and readers under ValMode::kPartitioned skip walks when
+// every READ-occupied stripe is unchanged. Non-partitioned policies ignore the
+// mask; StrategyState compiles the stripe paths out for them.
 
 // `kMvcc` marks the policy whose writers additionally publish every displaced
 // value onto the slot's version chain (src/tm/mvcc.h), stamped with their own
@@ -129,11 +131,8 @@ struct NonReuseValidation {
   static bool BloomAdvance(Word* /*sample*/, const Bloom128& /*read_bloom*/) {
     return true;
   }
-  static void OnWriterCommit(TxDesc* /*self*/) {}
-  static Word OnWriterCommitWithBloom(TxDesc* /*self*/, const Bloom128& /*bloom*/,
-                                      unsigned /*stripe_mask*/ = 0) {
-    return 0;
-  }
+  // No OnWriterCommit: PublishWriterCommit publishes nothing for a non-precise
+  // policy, so a writer's commit touches no shared word.
 };
 
 // One shared commit counter (Dalessandro et al.): cheap to read, but every writer
@@ -155,11 +154,8 @@ struct GlobalCounterValidation {
   static bool BloomAdvance(Word* sample, const Bloom128& /*read_bloom*/) {
     return Stable(*sample);
   }
-  static void OnWriterCommit(TxDesc* /*self*/) {
-    Counter().fetch_add(1, std::memory_order_seq_cst);
-  }
-  static Word OnWriterCommitWithBloom(TxDesc* /*self*/, const Bloom128& /*bloom*/,
-                                      unsigned /*stripe_mask*/ = 0) {
+  static Word OnWriterCommit(TxDesc* /*self*/,
+                             const WriteSignature<false>& /*sig*/) {
     return Counter().fetch_add(1, std::memory_order_seq_cst) + 1;
   }
 };
@@ -188,18 +184,10 @@ struct GlobalCounterBloomValidation {
     return Summary::BloomAdvance(sample, read_bloom);
   }
 
-  // Returns the writer's own commit index (see WriterSummary::PublishAndBump for
+  // Returns the writer's own commit index (see WriterSummary::OnWriterCommit for
   // the commit-skip contract it feeds and the stripe-mask protocol).
-  static Word OnWriterCommitWithBloom(TxDesc* /*self*/, const Bloom128& bloom,
-                                      unsigned stripe_mask = kAllCounterStripesMask) {
-    return Summary::PublishAndBump(bloom, stripe_mask);
-  }
-
-  // A writer path with no cheap write-set enumeration publishes the all-ones
-  // bloom and the all-stripes mask: readers then fall back to the walk for that
-  // commit, never skip unsoundly.
-  static void OnWriterCommit(TxDesc* self) {
-    OnWriterCommitWithBloom(self, Bloom128All(), kAllCounterStripesMask);
+  static Word OnWriterCommit(TxDesc* self, const WriteSignature<true>& sig) {
+    return Summary::OnWriterCommit(self, sig);
   }
 
   // Commit-time bloom pre-filter; the range contract lives in
@@ -314,15 +302,12 @@ struct PerThreadCounterValidation {
     return Stable(*sample);
   }
 
-  static void OnWriterCommit(TxDesc* self) {
-    Counters()[self->thread_slot]->fetch_add(1, std::memory_order_seq_cst);
-  }
   // No single commit index exists for a distributed sum; callers use the uniform
   // "Sample() == sample + 1 after own bump" test instead (sums count all bumps,
   // so anchor+1 means exactly this writer's own).
-  static Word OnWriterCommitWithBloom(TxDesc* self, const Bloom128& /*bloom*/,
-                                      unsigned /*stripe_mask*/ = 0) {
-    OnWriterCommit(self);
+  static Word OnWriterCommit(TxDesc* self,
+                             const WriteSignature<false>& /*sig*/) {
+    Counters()[self->thread_slot]->fetch_add(1, std::memory_order_seq_cst);
     return 0;
   }
 

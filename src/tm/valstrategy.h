@@ -42,13 +42,13 @@
 //
 // Strategy choice (kAdaptive) is re-evaluated from the EWMA at every transaction
 // start: low abort rate -> counter-skip, moderate -> bloom, high -> incremental.
-// The band edges are HYSTERETIC (same enter/exit dead-band pattern as the GV6
-// clock flip in clock.h): moving to a more conservative strategy uses the enter
-// threshold, moving back requires the EWMA to fall through a lower exit
-// threshold, so a border workload whose EWMA wiggles around one edge no longer
-// alternates strategies on every outcome. Fixed modes exist for ablation benches
-// (bench/abl_adaptive_val) so the adaptive engine can be measured against every
-// fixed point it switches between.
+// The band edges are HYSTERETIC (an enter/exit dead band): moving to a more
+// conservative strategy uses the enter threshold, moving back requires the EWMA
+// to fall through a lower exit threshold, so a border workload whose EWMA
+// wiggles around one edge no longer alternates strategies on every outcome.
+// Fixed modes exist for ablation benches (bench/abl_adaptive_val) so the
+// adaptive engine can be measured against every fixed point it switches
+// between.
 //
 // Soundness of the skip paths (NOrec discipline, extended with blooms):
 //   * Writer protocol: acquire ALL commit locks, bump-and-publish, validate (or
@@ -100,12 +100,10 @@
 namespace spectm {
 
 // Per-family validation mode. kPassive is the zero-overhead default (no summary
-// maintenance at all — existing families are bit-for-bit unchanged); kIncremental
-// maintains the writer summary but never consults it (measures pure maintenance
-// overhead); the rest consult it as described above.
+// maintenance at all — the always-walk baseline); the rest maintain the writer
+// summary and consult it as described above.
 enum class ValMode : std::uint8_t {
   kPassive,
-  kIncremental,
   kCounterSkip,
   kBloom,
   kAdaptive,
@@ -142,11 +140,11 @@ inline const char* ValStrategyName(ValStrategy s) {
 //           write traffic still skips the walk.
 //   >= 25% aborts: walks happen regardless; stop paying for summaries.
 //
-// Each band edge is a hysteresis PAIR (the GV6 clock.h pattern): crossing the
-// *MaxQ16 enter threshold upward moves to the more conservative strategy; only
-// falling below the matching *ExitQ16 threshold moves back. Inside the dead band
-// the previous choice sticks, so a border workload's EWMA noise cannot alternate
-// strategies per attempt (ValProbe::strategy_switches pins the damping).
+// Each band edge is a hysteresis PAIR: crossing the *MaxQ16 enter threshold
+// upward moves to the more conservative strategy; only falling below the
+// matching *ExitQ16 threshold moves back. Inside the dead band the previous
+// choice sticks, so a border workload's EWMA noise cannot alternate strategies
+// per attempt (ValProbe::strategy_switches pins the damping).
 inline constexpr std::uint32_t kEwmaCounterSkipMaxQ16 = 1u << 11;   // ~3.1%: enter bloom
 inline constexpr std::uint32_t kEwmaCounterSkipExitQ16 = 1u << 10;  // ~1.6%: back to counter-skip
 inline constexpr std::uint32_t kEwmaBloomMaxQ16 = 1u << 14;         // 25%: enter incremental
@@ -185,7 +183,6 @@ inline ValStrategy ChooseStrategy(ValMode mode, bool has_bloom_ring,
                                   ValStrategy prev = ValStrategy::kIncremental) {
   switch (mode) {
     case ValMode::kPassive:
-    case ValMode::kIncremental:
       return ValStrategy::kIncremental;
     case ValMode::kCounterSkip:
       return ValStrategy::kCounterSkip;
@@ -319,6 +316,27 @@ inline int CountStripeBits(unsigned mask) {
   return n;
 }
 
+// A committing writer's write signature: the Bloom128 of the metadata words it
+// holds locked and the counter-stripe mask they occupy. Writers Add() each
+// locked metadata word, then hand the signature to PublishWriterCommit below.
+// `kFold` is the summary's kHasBloomRing: a ring-less summary reads neither
+// field, so Add hashes nothing and the fields keep the conservative all-ones
+// value (every bloom bit set, every stripe moved).
+template <bool kFold>
+struct WriteSignature {
+  Bloom128 bloom = kFold ? Bloom128{} : Bloom128All();
+  unsigned stripes = kFold ? 0u : kAllCounterStripesMask;
+
+  void Add(const void* metadata_word) {
+    if constexpr (kFold) {
+      bloom |= AddrBloom128(metadata_word);
+      stripes |= 1u << CounterStripeOf(metadata_word);
+    } else {
+      (void)metadata_word;
+    }
+  }
+};
+
 // A reader's per-stripe counter sample vector (the partitioned analogue of the
 // single Word sample). Components are meaningful only for stripes the owner's
 // read-stripe mask occupies; the rest are whatever the draw happened to load.
@@ -424,13 +442,15 @@ class WriterRing {
 };
 
 // Per-domain writer summary for orec-based families: the precise commit counter
-// plus the bloom ring. Writers call PublishAndBump() after acquiring all commit
-// locks and validating, BEFORE any data store or orec release (the ordering the
-// soundness argument above depends on). The val layout reaches the same machinery
-// through its ValidationPolicy (GlobalCounterBloomValidation in val_word.h).
+// plus the bloom ring. Writers publish through PublishWriterCommit (below) after
+// acquiring all commit locks, BEFORE the commit-time validation and any data
+// store or orec release (the ordering the soundness argument above depends on).
+// The val layout reaches the same machinery through its ValidationPolicy
+// (GlobalCounterBloomValidation in val_word.h).
 //
 // Summary concept (shared with the ValidationPolicy classes in val_word.h, so
-// StrategyState below can drive either): Sample/Stable/BloomAdvance, plus
+// StrategyState and PublishWriterCommit below can drive either):
+// Sample/Stable/BloomAdvance and the writer-side OnWriterCommit, plus
 // CommitRangeDisjoint where kHasBloomRing is true.
 // `kPartitionedCounters` opts the DOMAIN into partitioned NOrec: per-stripe
 // commit counters alongside the precise global counter (which remains the ring
@@ -446,6 +466,7 @@ class WriterRing {
 // ring domain, which therefore stays partitioned for ValPart's readers).
 template <typename DomainTag, bool kPartitionedCounters = true>
 struct WriterSummary {
+  static constexpr bool kPrecise = true;
   static constexpr bool kHasBloomRing = true;
   static constexpr bool kPartitioned = kPartitionedCounters;
 
@@ -493,32 +514,28 @@ struct WriterSummary {
   // between anchor and bump (later writers validate after this writer's locks are
   // visible and detect them — see the crossing-committer note above).
   //
-  // `stripe_mask` names the counter stripes the write set occupies (bit s set =
-  // some locked metadata word lives in stripe s); callers that cannot enumerate
-  // their write set pass kAllCounterStripesMask, which readers absorb as "every
-  // stripe moved" — conservative, never unsound. Stripe bumps precede the global
-  // bump (see kPartitioned above), and the whole sequence runs while every
-  // commit lock is held, before the commit-time validation and the releasing
-  // stores — each stripe inherits the global bump-before-validate discipline.
-  static Word PublishAndBump(const Bloom128& write_bloom,
-                             unsigned stripe_mask = kAllCounterStripesMask) {
+  // `sig.stripes` names the counter stripes the write set occupies (bit s set =
+  // some locked metadata word lives in stripe s). Stripe bumps precede the
+  // global bump (see kPartitioned above), and the whole sequence runs while
+  // every commit lock is held, before the commit-time validation and the
+  // releasing stores — each stripe inherits the global bump-before-validate
+  // discipline.
+  static Word OnWriterCommit(TxDesc* /*self*/, const WriteSignature<true>& sig) {
     if constexpr (kPartitioned) {
       // Fault injection (no-ops in production): widen the gaps the ordering
       // arguments above close — stripe-bumps vs global bump, and the
       // bump -> ring-publish tail window readers probe through.
       SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPreStripeBump);
       for (int s = 0; s < kCounterStripes; ++s) {
-        if ((stripe_mask >> s) & 1u) {
+        if ((sig.stripes >> s) & 1u) {
           StripeCounter(s).fetch_add(1, std::memory_order_seq_cst);
         }
       }
-    } else {
-      (void)stripe_mask;  // non-partitioned domain: the global bump is the protocol
     }
     SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPreBump);
     const Word idx = Counter().fetch_add(1, std::memory_order_seq_cst) + 1;
     SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPreRingPublish);
-    Ring().Publish(idx, write_bloom);
+    Ring().Publish(idx, sig.bloom);
     // Schedule point (PR 8): entry published, locks still held — the explorer
     // drives readers through the publish -> release ordering both ways.
     SPECTM_SCHED_POINT(failpoint::Site::kPostRingPublish);
@@ -563,7 +580,7 @@ struct ValProbe {
     std::uint64_t bloom_skips = 0;        // walks avoided by ring disjointness
     std::uint64_t validation_walks = 0;   // full read-set walks performed
     std::uint64_t strategy_switches = 0;  // attempts started with a new strategy
-    std::uint64_t summary_publishes = 0;  // writer-side bump+publish events
+    std::uint64_t summary_publishes = 0;  // commits that bumped a shared counter
     // Partitioned-NOrec evidence: walks avoided because every READ-occupied
     // stripe counter was stable; writer-side per-stripe counter bumps; and walks
     // a kStripe attempt could not avoid even through the ring fallback (i.e.
@@ -612,6 +629,37 @@ struct ValProbe {
     c.has_strategy = true;
   }
 };
+
+// The one commit-publication call: every writer path of every engine (full and
+// short commits, single ops, eager commits) makes exactly this call once per
+// commit that releases a value, with every commit lock held and each locked
+// metadata word folded into `sig`, BEFORE the commit-time validation and the
+// releasing stores (the ordering atop this file). It is the boundary of the
+// commit-publication layer (docs/ARCHITECTURE.md). The summary's OnWriterCommit
+// does the bump (stripes, global counter, ring entry); this call owns its
+// accounting, so ProbeT's summary_publishes moves exactly when a shared counter
+// moves, and stripe_bumps by the stripes a partitioned summary bumped. A
+// non-precise summary (NonReuseValidation) tracks no commits: the call compiles
+// to nothing. Returns the writer's own commit index (0 where the summary has no
+// single index — see TrySkipCommit).
+template <typename SummaryT, typename ProbeT>
+Word PublishWriterCommit(TxDesc* self,
+                         const WriteSignature<SummaryT::kHasBloomRing>& sig) {
+  if constexpr (!SummaryT::kPrecise) {
+    (void)self;
+    (void)sig;
+    return 0;
+  } else {
+    const Word own_idx = SummaryT::OnWriterCommit(self, sig);
+    typename ProbeT::Counters& probe = ProbeT::Get();
+    ++probe.summary_publishes;
+    if constexpr (SummaryT::kPartitioned) {
+      probe.stripe_bumps +=
+          static_cast<std::uint64_t>(CountStripeBits(sig.stripes));
+    }
+    return own_idx;
+  }
+}
 
 // Per-attempt strategy state, shared by all four engines (full/short x orec/val —
 // previously open-coded in each with small drift; the ROADMAP refactor item).
@@ -776,8 +824,8 @@ class StrategyState {
   // writer's own commit index, or 0 for policies without one (per-thread counter
   // sums), which fall back to the fresh-sample test — sums count every bump, so
   // anchor+1 still means "exactly my own". `write_stripe_mask` is the stripe
-  // mask this writer passed to PublishAndBump; the partitioned arm expects each
-  // READ-occupied stripe at anchor + own contribution, so a foreign bump of any
+  // mask of this writer's published WriteSignature; the partitioned arm expects
+  // each READ-occupied stripe at anchor + own contribution, so a foreign bump of any
   // stripe guarding a logged location before this writer's own bump is caught,
   // and writers bumping those stripes afterwards validate against this writer's
   // already-visible locks (the per-stripe crossing-committer argument,

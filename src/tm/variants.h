@@ -123,15 +123,6 @@ struct OrecLStripedTag {};
 using OrecLStriped =
     internal::OrecBasedFamily<OrecLStripedTag, OrecLayoutStriped, LocalClockPolicy>;
 
-// Clock-policy ablations beyond GV4 (clock.h): GV5 draws commit stamps with a plain
-// load (no RMW on the commit path — ClockProbe's rmw_draws stays zero) at the price
-// of extra false aborts; GV6 flips between GV4 and GV5 per draw from the
-// descriptor's abort-rate EWMA, with hysteresis (separate enter/exit thresholds).
-struct OrecGv5Tag {};
-struct OrecGv6Tag {};
-using OrecGv5 = internal::OrecBasedFamily<OrecGv5Tag, OrecLayout, GlobalClockGv5>;
-using OrecGv6 = internal::OrecBasedFamily<OrecGv6Tag, OrecLayout, GlobalClockGv6>;
-
 // Adaptive-validation ablations over the local-clock layout — the family whose
 // full-transaction reads pay the O(read-set) per-read revalidation the engine
 // exists to cut. OrecL itself (kPassive: no writer summary at all) is the
@@ -171,14 +162,9 @@ using ValPerThreadCounter = internal::ValFamilyT<PerThreadCounterValidation>;
 // Validation-strategy ablations for the val layout, ALL over the bloom-publishing
 // counter policy (val_word.h) so every row of bench/abl_adaptive_val pays the
 // identical writer protocol (bump + ring publish) and the cells differ only in
-// reader strategy: fixed incremental (walk every read — the pure
-// summary-maintenance-overhead baseline), fixed counter-skip, fixed bloom, and
-// the EWMA-adaptive engine. ValGlobalCounter above stays on the classic ring-less
-// Dalessandro counter for the original abl_val_validation comparison.
-using ValIncremental =
-    internal::ValFamilyT<GlobalCounterBloomValidation, ValMode::kIncremental>;
-using ValCounterSkip =
-    internal::ValFamilyT<GlobalCounterBloomValidation, ValMode::kCounterSkip>;
+// reader strategy: fixed bloom and the EWMA-adaptive engine. ValGlobalCounter
+// above stays on the classic ring-less Dalessandro counter for the original
+// abl_val_validation comparison.
 using ValBloom = internal::ValFamilyT<GlobalCounterBloomValidation, ValMode::kBloom>;
 using ValAdaptive =
     internal::ValFamilyT<GlobalCounterBloomValidation, ValMode::kAdaptive>;

@@ -58,8 +58,6 @@ TEST(AbortEwma, SingleAbortDoesNotFlipTheStrategy) {
 TEST(ChooseStrategy, FixedModesIgnoreTheEwma) {
   for (const std::uint32_t ewma : {0u, 10000u, 65535u}) {
     EXPECT_EQ(ChooseStrategy(ValMode::kPassive, true, ewma), ValStrategy::kIncremental);
-    EXPECT_EQ(ChooseStrategy(ValMode::kIncremental, true, ewma),
-              ValStrategy::kIncremental);
     EXPECT_EQ(ChooseStrategy(ValMode::kCounterSkip, true, ewma),
               ValStrategy::kCounterSkip);
     EXPECT_EQ(ChooseStrategy(ValMode::kBloom, true, ewma), ValStrategy::kBloom);
@@ -596,21 +594,99 @@ TEST(CommitSkipProtocol, LinkedSetBalanceValPart) {
 
 // --- Partitioned NOrec: per-stripe counters -------------------------------------
 
-// The sharded bump: PublishAndBump moves exactly the masked stripe counters plus
-// the global counter (the ring index / own_idx), nothing else.
+// The sharded bump, once per publishing path: every commit that releases a
+// value makes exactly one PublishWriterCommit, which moves the global counter by
+// one and exactly its write set's stripes by one, adds one to
+// summary_publishes and the write mask's popcount to stripe_bumps.
+template <typename Summary, typename Probe, typename Commit>
+void ExpectOneShardedPublish(const char* path, unsigned write_mask,
+                             const Commit& commit) {
+  const StripeSample before = Summary::StripeSampleNow();
+  const Word global_before = Summary::Sample();
+  Probe::Reset();
+  commit();
+  EXPECT_EQ(Summary::Sample(), global_before + 1) << path;
+  for (int s = 0; s < kCounterStripes; ++s) {
+    EXPECT_EQ(Summary::StripeNow(s), before.v[s] + ((write_mask >> s) & 1u))
+        << path << ", stripe " << s;
+  }
+  EXPECT_EQ(Probe::Get().summary_publishes, 1u) << path;
+  EXPECT_EQ(Probe::Get().stripe_bumps,
+            static_cast<std::uint64_t>(CountStripeBits(write_mask)))
+      << path;
+}
+
+// Drives every publishing path of family F on two slots whose metadata words
+// (`meta_of`) lie in different counter stripes.
+template <typename F, typename Summary, typename Probe, std::size_t N,
+          typename MetaOf>
+void ExpectEveryPathShardsTheBump(typename F::Slot (&pool)[N],
+                                  const MetaOf& meta_of) {
+  typename F::Slot* a = &pool[0];
+  typename F::Slot* b = nullptr;
+  for (auto& s : pool) {
+    if (CounterStripeOf(meta_of(s)) != CounterStripeOf(meta_of(*a))) {
+      b = &s;
+      break;
+    }
+  }
+  ASSERT_NE(b, nullptr) << "the pool must span two counter stripes";
+  const unsigned mask_a = 1u << CounterStripeOf(meta_of(*a));
+  const unsigned mask_b = 1u << CounterStripeOf(meta_of(*b));
+  F::SingleWrite(a, EncodeInt(1));
+  F::SingleWrite(b, EncodeInt(2));
+
+  ExpectOneShardedPublish<Summary, Probe>("full commit", mask_a | mask_b, [&] {
+    typename F::FullTx tx;
+    tx.Start();
+    tx.Write(a, EncodeInt(3));
+    tx.Write(b, EncodeInt(4));
+    EXPECT_TRUE(tx.Commit());
+  });
+  ExpectOneShardedPublish<Summary, Probe>("CommitRw", mask_a | mask_b, [&] {
+    typename F::ShortTx tx;
+    tx.ReadRw(a);
+    tx.ReadRw(b);
+    EXPECT_TRUE(tx.CommitRw({EncodeInt(5), EncodeInt(6)}));
+  });
+  ExpectOneShardedPublish<Summary, Probe>("CommitMixed", mask_b, [&] {
+    typename F::ShortTx tx;
+    tx.ReadRo(a);
+    tx.ReadRw(b);
+    EXPECT_TRUE(tx.CommitMixed({EncodeInt(7)}));
+  });
+  ExpectOneShardedPublish<Summary, Probe>("SingleWrite", mask_a,
+                                          [&] { F::SingleWrite(a, EncodeInt(8)); });
+  ExpectOneShardedPublish<Summary, Probe>("SingleCas", mask_a, [&] {
+    EXPECT_EQ(F::SingleCas(a, EncodeInt(8), EncodeInt(9)), EncodeInt(8));
+  });
+}
+
 TEST(PartitionedSkip, StripeCountersShardTheBump) {
-  struct StripeUnitTag {};
-  using S = WriterSummary<StripeUnitTag>;
-  const StripeSample before = S::StripeSampleNow();
-  const Word global_before = S::Sample();
-  int anchor_obj = 0;
-  const Word own_idx = S::PublishAndBump(AddrBloom128(&anchor_obj), 0b0101u);
-  EXPECT_EQ(own_idx, global_before + 1);
-  EXPECT_EQ(S::StripeNow(0), before.v[0] + 1);
-  EXPECT_EQ(S::StripeNow(1), before.v[1]);
-  EXPECT_EQ(S::StripeNow(2), before.v[2] + 1);
-  EXPECT_EQ(S::StripeNow(3), before.v[3]);
-  EXPECT_EQ(S::Sample(), global_before + 1);
+  static OrecLPart::Slot orec_pool[256];  // hash-scattered orecs: two stripes occur
+  ExpectEveryPathShardsTheBump<OrecLPart, OrecLPart::Full::Summary,
+                               ValProbe<OrecLPartTag>>(
+      orec_pool,
+      [](OrecLPart::Slot& s) { return &OrecLPart::Layout::OrecOf(s); });
+  static ValPart::Slot val_pool[1024];  // 8 KiB of slots: two 4 KiB stripes
+  ExpectEveryPathShardsTheBump<ValPart, GlobalCounterBloomValidation::Summary,
+                               ValProbe<ValDomainTag>>(
+      val_pool, [](ValPart::Slot& s) { return &s.word; });
+}
+
+// NonReuseValidation tracks no commits: its writers bump nothing, so no
+// publish may be counted either.
+TEST(PartitionedSkip, NonReuseCommitsPublishNothing) {
+  using Probe = ValProbe<ValDomainTag>;
+  static Val::Slot a;
+  Val::SingleWrite(&a, EncodeInt(1));
+  Probe::Reset();
+  Val::ShortTx tx;
+  tx.ReadRw(&a);
+  EXPECT_TRUE(tx.CommitRw({EncodeInt(2)}));
+  EXPECT_EQ(DecodeInt(Val::SingleRead(&a)), 2u);
+  EXPECT_EQ(Probe::Get().summary_publishes, 0u);
+  EXPECT_EQ(Probe::Get().stripe_bumps, 0u);
 }
 
 // Returns a slot from `pool` whose counter stripe is NOT in `occupied_mask`
@@ -1003,7 +1079,7 @@ TEST(LazySignature, ShortTxCommitConsultFolds) {
   RunShortCommitConsultCase<OrecLBloom>();
 }
 
-// --- Strategy-band hysteresis (the GV6 enter/exit dead-band pattern) ------------
+// --- Strategy-band hysteresis (enter/exit dead bands) ---------------------------
 
 TEST(ChooseStrategy, AbortBandEdgesAreHysteretic) {
   const std::uint32_t lower_band =
@@ -1048,9 +1124,9 @@ TEST(ChooseStrategy, SkipEfficacyRecoveryIsHysteretic) {
             ValStrategy::kCounterSkip);
 }
 
-// End-to-end flap regression, mirroring clock_gv56_test's DeadBandDoesNotFlap:
-// an abort EWMA wiggling INSIDE the dead band must not alternate the strategy
-// attempts start with; leaving the band through the exit edge flips exactly once.
+// End-to-end flap regression: an abort EWMA wiggling INSIDE the dead band must
+// not alternate the strategy attempts start with; leaving the band through the
+// exit edge flips exactly once.
 TEST(StrategyHysteresis, InBandEwmaWiggleDoesNotFlap) {
   using F = OrecLAdaptive;
   using Probe = ValProbe<OrecLAdaptTag>;

@@ -30,8 +30,8 @@ void ExpectOneWordSlots() {
 }
 
 TEST(ValSlotLayout, OneWordInEveryFamilyButSnapshot) {
-  ExpectOneWordSlots<Val, ValGlobalCounter, ValPerThreadCounter, ValIncremental,
-                     ValCounterSkip, ValBloom, ValAdaptive, ValPart, ValEager>();
+  ExpectOneWordSlots<Val, ValGlobalCounter, ValPerThreadCounter, ValBloom,
+                     ValAdaptive, ValPart, ValEager>();
   EXPECT_EQ(sizeof(ValSnap::Slot), 2 * sizeof(Word));
   EXPECT_FALSE((std::is_same_v<Val::Slot, ValSnap::Slot>));
   EXPECT_TRUE((std::is_same_v<ValSnap::Slot, SnapSlot>));
@@ -39,14 +39,14 @@ TEST(ValSlotLayout, OneWordInEveryFamilyButSnapshot) {
 
 TEST(ValPolicies, NonReuseIsAlwaysStable) {
   const Word s = NonReuseValidation::Sample();
-  NonReuseValidation::OnWriterCommit(nullptr);
+  PublishWriterCommit<NonReuseValidation, ValProbe<ValDomainTag>>(nullptr, {});
   EXPECT_TRUE(NonReuseValidation::Stable(s));
 }
 
 TEST(ValPolicies, GlobalCounterDetectsCommits) {
   const Word s = GlobalCounterValidation::Sample();
   EXPECT_TRUE(GlobalCounterValidation::Stable(s));
-  GlobalCounterValidation::OnWriterCommit(nullptr);
+  GlobalCounterValidation::OnWriterCommit(nullptr, {});
   EXPECT_FALSE(GlobalCounterValidation::Stable(s));
   const Word s2 = GlobalCounterValidation::Sample();
   EXPECT_TRUE(GlobalCounterValidation::Stable(s2));
@@ -55,14 +55,14 @@ TEST(ValPolicies, GlobalCounterDetectsCommits) {
 TEST(ValPolicies, PerThreadCountersDetectOwnCommit) {
   TxDesc& desc = DescOf<ValDomainTag>();
   const Word s = PerThreadCounterValidation::Sample();
-  PerThreadCounterValidation::OnWriterCommit(&desc);
+  PerThreadCounterValidation::OnWriterCommit(&desc, {});
   EXPECT_FALSE(PerThreadCounterValidation::Stable(s));
 }
 
 TEST(ValPolicies, PerThreadCountersDetectOtherThreadsCommits) {
   const Word s = PerThreadCounterValidation::Sample();
   std::thread other([] {
-    PerThreadCounterValidation::OnWriterCommit(&DescOf<ValDomainTag>());
+    PerThreadCounterValidation::OnWriterCommit(&DescOf<ValDomainTag>(), {});
   });
   other.join();
   EXPECT_FALSE(PerThreadCounterValidation::Stable(s));
@@ -74,7 +74,7 @@ TEST(ValPolicies, PerThreadSumIsMonotone) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([] {
       for (int i = 0; i < 1000; ++i) {
-        PerThreadCounterValidation::OnWriterCommit(&DescOf<ValDomainTag>());
+        PerThreadCounterValidation::OnWriterCommit(&DescOf<ValDomainTag>(), {});
       }
     });
   }
