@@ -204,10 +204,10 @@ Row MeasureFamily(const char* strategy, const WorkloadSpec& wl, int threads) {
   row.strategy = strategy;
   row.result = wl.lookup_pct < 0 ? MeasurePhaseCell(make_set, cfg, threads)
                                  : bench::MeasureCellDetailed(make_set, cfg, threads);
-  // The passive baseline (OrecL) deliberately carries zero instrumentation, so
-  // emitting all-zero probe columns for it would read as "never validates";
-  // mark its probes absent instead.
-  row.has_probes = Family::kValMode != ValMode::kPassive;
+  // The passive baseline (OrecL) keeps no writer summary (its Summary is the
+  // null one), so its skip and strategy columns are zero by construction;
+  // mark its probes absent rather than emit columns that read as measured.
+  row.has_probes = Family::Full::Summary::kPrecise;
   if (row.has_probes) {
     row.probes = MeasureProbes<Family>(std::string(strategy) == "adaptive");
   }

@@ -59,7 +59,8 @@ namespace spectm {
 // writers then bump the domain's WriterSummary (commit counter + write-bloom ring)
 // while holding their commit locks, and local-clock readers use it to skip the
 // otherwise per-read O(read-set) revalidation (§4.1's "-l" cost). kPassive is the
-// zero-overhead default: no summary, the seed's exact behavior.
+// zero-overhead default: its Summary is the null NonReuseValidation, so the
+// strategy and publish calls below compile to nothing — the seed's behavior.
 template <typename LayoutT, typename ClockT, typename DomainTag,
           ValMode kMode = ValMode::kPassive>
 class FullTm {
@@ -67,17 +68,15 @@ class FullTm {
   using Layout = LayoutT;
   using Clock = ClockT;
   using Slot = typename Layout::Slot;
-  // Per-stripe counters are a domain-wide writer protocol: only the partitioned
-  // mode pays for them (see WriterSummary's kPartitionedCounters note).
-  using Summary = WriterSummary<DomainTag, kMode == ValMode::kPartitioned>;
+  using Summary = OrecSummary<DomainTag, kMode>;
   using Probe = ValProbe<DomainTag>;
   using Cm = SerialCm<DomainTag>;
   using Gate = SerialGate<DomainTag>;
-  static constexpr ValMode kValMode = kMode;
   // Reader-side strategy only pays off where per-read revalidation exists: the
   // local-clock families. Global-clock readers keep rv-sampling + extension.
-  static constexpr bool kStrategicReads =
-      kMode != ValMode::kPassive && !Clock::kHasGlobalClock;
+  static_assert(kMode == ValMode::kPassive || !Clock::kHasGlobalClock,
+                "a global-clock family validates by rv-sampling and extension; "
+                "a writer summary would have no per-read walk to skip");
 
   class Tx {
    public:
@@ -104,12 +103,9 @@ class FullTm {
       user_abort_ = false;
       // Health watchdog attempt-start feed (no-op unless SPECTM_HEALTH):
       // observes foreign serial holds before the escalation decision below,
-      // and refreshes the ring-saturation gauge from this thread's intersect
-      // failures so the window close in OnOutcome sees the current level.
+      // and refreshes the ring-saturation gauge.
       Cm::NoteAttemptStart(*desc_);
-      if constexpr (health::kEnabled && kMode != ValMode::kPassive) {
-        health::SetRingGauge<DomainTag>(Summary::Fails().intersect);
-      }
+      FeedRingGauge<DomainTag, Summary>();
       // Two-phase contention manager, phase 2: past the (hysteretic) streak
       // threshold this attempt runs serial-irrevocable. Token first, reads
       // after — once AcquireSerial returns, no other committer is in flight,
@@ -122,13 +118,11 @@ class FullTm {
       if constexpr (Clock::kHasGlobalClock) {
         rv_ = Clock::Sample();
       }
-      if constexpr (kStrategicReads) {
-        // Strategy choice + probe tick + anchor, shared across engines
-        // (StrategyState): the anchor is drawn before the first read, so the
-        // skip argument's "every entry admitted no earlier than the sample it
-        // is judged against" holds for the whole attempt.
-        state_.StartAttempt(kMode, /*has_bloom_ring=*/true, desc_->stats);
-      }
+      // Strategy choice + probe tick + anchor, shared across engines
+      // (StrategyState): the anchor is drawn before the first read, so the
+      // skip argument's "every entry admitted no earlier than the sample it
+      // is judged against" holds for the whole attempt.
+      state_.StartAttempt(desc_->stats);
     }
 
     // Transactional read. Returns the buffered value for locations this transaction
@@ -193,26 +187,14 @@ class FullTm {
           //
           // Strategy fast paths (valstrategy.h): a stable domain commit counter —
           // or all-disjoint intervening write blooms — proves the earlier entries
-          // unchanged without walking them.
-          if (desc_->read_log.Size() > 1) {
-            bool ok;
-            if constexpr (kStrategicReads) {
-              if (state_.TrySkipRead(&desc_->stats, desc_->read_log.Size(),
-                                     LoggedOrecs()) ==
-                  StratState::ReadSkip::kSkipped) {
-                ok = true;
-              } else {
-                // Tracked walk must cover the FULL log, tail included: it
-                // re-anchors the sample, and "valid at the anchor" has to hold
-                // for the entry just read too (valstrategy.h tail rule).
-                ok = ValidatePrefixTracked(desc_->read_log.Size());
-              }
-            } else {
-              ok = ValidateReadLogPrefix(desc_->read_log.Size() - 1);
-            }
-            if (!ok) {
-              return Fail();
-            }
+          // unchanged without walking them. A walk that re-anchors the sample
+          // must cover the FULL log, tail included (valstrategy.h tail rule);
+          // PerReadWalkLength says how much of it this family's walk covers.
+          const std::size_t logged = desc_->read_log.Size();
+          if (logged > 1 &&
+              !state_.TrySkipRead(&desc_->stats, logged, LoggedOrecs()) &&
+              !ValidatePrefixTracked(StratState::PerReadWalkLength(logged))) {
+            return Fail();
           }
           return value;
         }
@@ -292,36 +274,31 @@ class FullTm {
         // read set, so adopters always validate.
         skip_validation = stamp.unique && wv == rv_ + 1;
       }
-      Word own_idx = 0;
+      // Writer summary: bump-and-publish while every commit lock is held, BEFORE
+      // the commit-time validation below and before any data store or orec
+      // release. Bump-before-validate is what lets the skip paths stay sound
+      // between two crossing committers (valstrategy.h): whichever bumps second
+      // fails its own skip test and walks into the first one's locks. The
+      // stripe mask shards the bump: only the counter stripes this write set
+      // touches move, so disjoint-stripe readers keep their anchors.
       WriteSignature<Summary::kHasBloomRing> write_sig;
-      if constexpr (kMode != ValMode::kPassive) {
-        // Writer summary: bump-and-publish while every commit lock is held, BEFORE
-        // the commit-time validation below and before any data store or orec
-        // release. Bump-before-validate is what lets the skip paths stay sound
-        // between two crossing committers (valstrategy.h): whichever bumps second
-        // fails its own skip test and walks into the first one's locks. The
-        // stripe mask shards the bump: only the counter stripes this write set
-        // touches move, so disjoint-stripe readers keep their anchors.
-        for (const LockLogEntry& l : desc_->lock_log) {
-          write_sig.Add(l.orec);
-        }
-        own_idx = PublishWriterCommit<Summary, Probe>(desc_, write_sig);
+      for (const LockLogEntry& l : desc_->lock_log) {
+        write_sig.Add(l.orec);
       }
-      if constexpr (kStrategicReads) {
-        // Commit-time skip (StrategyState): own_idx == sample + 1 proves no
-        // foreign commit bumped since the log was last known valid (writers that
-        // bump after us validate after our locks are visible and detect us
-        // instead); under kPartitioned the same holds one stripe at a time, and
-        // under kBloom/kStripe foreign commits in (sample, own_idx) may
-        // intervene as long as their write blooms miss our read bloom. Our own
-        // commit locks pin the write set regardless.
-        if (!skip_validation &&
-            state_.TrySkipCommit(own_idx, write_sig.stripes,
-                                 desc_->read_log.Size(), LoggedOrecs())) {
-          skip_validation = true;
-        }
-      }
-      if (!skip_validation && !ValidateReadLogForCommit()) {
+      const Word own_idx = PublishWriterCommit<Summary, Probe>(desc_, write_sig);
+      // Commit-time skip (StrategyState): own_idx == sample + 1 proves no
+      // foreign commit bumped since the log was last known valid (writers that
+      // bump after us validate after our locks are visible and detect us
+      // instead); under kPartitioned the same holds one stripe at a time, and
+      // under kBloom/kStripe foreign commits in (sample, own_idx) may
+      // intervene as long as their write blooms miss our read bloom. Our own
+      // commit locks pin the write set regardless. The commit-time walk is the
+      // plain conservative one: a foreign lock on a read-log entry fails it,
+      // which the crossing-committer argument needs.
+      if (!skip_validation &&
+          !state_.TrySkipCommit(own_idx, write_sig.stripes,
+                                desc_->read_log.Size(), LoggedOrecs()) &&
+          !ValidateReadLogPrefix(desc_->read_log.Size())) {
         return false;
       }
       cleanup.Dismiss();  // past the last throwing/failing operation: commit
@@ -353,7 +330,7 @@ class FullTm {
     }
 
    private:
-    using StratState = StrategyState<Summary, Probe>;
+    using StratState = StrategyState<Summary, Probe, kMode>;
 
     Word Fail() {
       active_ = false;
@@ -367,23 +344,12 @@ class FullTm {
       return [ptrs = desc_->read_log.Ptrs()](std::size_t i) { return ptrs[i]; };
     }
 
-    // Commit-time validation: the plain conservative single walk (a foreign lock
-    // on a read-log entry fails it, which the crossing-committer argument needs).
-    // Entries locked by this transaction's own commit are pinned and valid.
-    bool ValidateReadLogForCommit() const {
-      if constexpr (kStrategicReads) {
-        ++Probe::Get().validation_walks;
-      }
-      return ValidateReadLogPrefix(desc_->read_log.Size());
-    }
-
     // Tracked walk: one pass (orec versions are monotone, so a single matching
     // pass is a valid snapshot — no NOrec retry loop needed) plus a best-effort
     // anchor: the snapshot (global sample + stripe vector) taken before the walk
     // becomes the new skip anchor only if the global counter is still stable
     // after it (StrategyState's confirm rule).
     bool ValidatePrefixTracked(std::size_t count) {
-      ++Probe::Get().validation_walks;
       const typename StratState::Snapshot pre_walk = state_.DrawSnapshot();
       if (!ValidateReadLogPrefix(count)) {
         return false;
@@ -397,7 +363,8 @@ class FullTm {
     // over the SoA lanes where SIMD is enabled, scalar otherwise. The expected-word
     // lane holds unlocked orec bodies, so a mismatch is either a real conflict or
     // an orec this transaction itself locked at commit time — tolerated iff the
-    // displaced body still matches.
+    // displaced body still matches. Every read-set walk of this engine (per
+    // read, extension, commit) runs here, so here is where walks are counted.
     bool ValidateReadLogPrefix(std::size_t count) const {
       // Forced failure here exercises every abort edge that follows a walk —
       // including the post-publish one (summary bumped, then abort), which the
@@ -406,6 +373,7 @@ class FullTm {
         return false;
       }
       typename Probe::Counters& probe = Probe::Get();
+      ++probe.validation_walks;
       return ValidateEqualSpan(
           desc_->read_log.Ptrs(), desc_->read_log.Words(), count,
           probe.simd_batches, probe.scalar_checks,

@@ -48,7 +48,9 @@ namespace spectm {
 // commits and single-op writers bump the domain's WriterSummary while holding their
 // orec locks, and RO readers carry a persistent counter sample so an unchanged
 // counter (or disjoint write blooms) skips the per-read RO-prefix revalidation.
-// kPassive is the zero-overhead default: no summary, the seed's exact behavior.
+// kPassive is the zero-overhead default: its Summary is the null
+// NonReuseValidation, so the strategy and publish calls below compile to
+// nothing — the seed's behavior.
 template <typename LayoutT, typename ClockT, typename DomainTag,
           ValMode kMode = ValMode::kPassive>
 class ShortTm {
@@ -56,14 +58,10 @@ class ShortTm {
   using Layout = LayoutT;
   using Clock = ClockT;
   using Slot = typename Layout::Slot;
-  // Per-stripe counters are a domain-wide writer protocol: only the partitioned
-  // mode pays for them (see WriterSummary's kPartitionedCounters note).
-  using Summary = WriterSummary<DomainTag, kMode == ValMode::kPartitioned>;
+  using Summary = OrecSummary<DomainTag, kMode>;
   using Probe = ValProbe<DomainTag>;
   using Cm = SerialCm<DomainTag>;
   using Gate = SerialGate<DomainTag>;
-  static constexpr ValMode kValMode = kMode;
-  static constexpr bool kStrategic = kMode != ValMode::kPassive;
 
   // The TX_RECORD of Figure 2: stack-allocated, fixed-size, reusable after Abort().
   class ShortTx {
@@ -171,25 +169,15 @@ class ShortTm {
         // Strategy fast paths (valstrategy.h): the persistent sample_ names a
         // domain-counter value at which the whole RO log was valid; a stable
         // counter — or all-disjoint intervening write blooms — skips the walk.
-        // The tracked walk runs AFTER the push so the entry just read is covered
-        // by the re-anchored sample too (valstrategy.h tail rule); the passive
-        // walk keeps the seed's prefix-only shape, whose result is not reused.
-        bool prefix_ok = true;
-        if constexpr (kStrategic) {
-          const bool first_ro = ro_.Empty();
-          ro_.PushBack(RoEntry{s, &orec, OrecVersionOf(o1)});
-          if (!first_ro &&
-              state_.TrySkipRead(&desc_->stats, ro_.Size(), LoggedOrecs()) ==
-                  StratState::ReadSkip::kMustWalk) {
-            prefix_ok = ValidateRoPrefixTracked(ro_.Size());
-          }
-        } else {
-          if (!ro_.Empty()) {
-            prefix_ok = ValidateRoPrefix(ro_.Size());
-          }
-          ro_.PushBack(RoEntry{s, &orec, OrecVersionOf(o1)});
-        }
-        if (!prefix_ok) {
+        // The walk runs AFTER the push: a tracked walk covers the entry just
+        // read too, so the re-anchored sample vouches for it (valstrategy.h
+        // tail rule), while the passive walk keeps the seed's prefix-only shape
+        // (StrategyState::PerReadWalkLength).
+        const bool first_ro = ro_.Empty();
+        ro_.PushBack(RoEntry{s, &orec, OrecVersionOf(o1)});
+        if (!first_ro &&
+            !state_.TrySkipRead(&desc_->stats, ro_.Size(), LoggedOrecs()) &&
+            !ValidateRoPrefixTracked(StratState::PerReadWalkLength(ro_.Size()))) {
           valid_ = false;
           return 0;
         }
@@ -205,16 +193,10 @@ class ShortTm {
     // successful call serves in place of commit (§2.2: "Successful validation serves
     // in the place of commit").
     bool ValidateRo() const {
-      if constexpr (kStrategic) {
-        // No EWMA feedback here (nullptr): the final validate is not a per-read
-        // skip opportunity the adaptive engine should learn from.
-        if (state_.TrySkipRead(nullptr, ro_.Size(), LoggedOrecs()) ==
-            StratState::ReadSkip::kSkipped) {
-          return true;
-        }
-        return ValidateRoPrefixTracked(ro_.Size());
-      }
-      return ValidateRoPrefix(ro_.Size());
+      // No EWMA feedback here (nullptr): the final validate is not a per-read
+      // skip opportunity the adaptive engine should learn from.
+      return state_.TrySkipRead(nullptr, ro_.Size(), LoggedOrecs()) ||
+             ValidateRoPrefixTracked(ro_.Size());
     }
 
     // Tx_Upgrade_RO_x_To_RW_y: promote the ro_index-th read into the write set by
@@ -284,24 +266,16 @@ class ShortTm {
       assert(valid_ && !finished_);
       assert(values.size() == rw_.Size());
       bool ro_ok;
-      if constexpr (kStrategic) {
-        if (rw_.Empty()) {
-          ro_ok = ValidateRo();
-        } else {
-          unsigned write_stripes = 0;
-          const Word own_idx = PublishWriterSummary(&write_stripes);
-          if (state_.TrySkipCommit(own_idx, write_stripes, ro_.Size(),
-                                   LoggedOrecs())) {
-            ro_ok = true;
-          } else {
-            // Plain conservative walk: a foreign lock fails it, which the
-            // crossing-committer argument requires at commit time.
-            ++Probe::Get().validation_walks;
-            ro_ok = ValidateRoPrefix(ro_.Size());
-          }
-        }
-      } else {
+      if (rw_.Empty()) {
         ro_ok = ValidateRo();
+      } else {
+        unsigned write_stripes = 0;
+        const Word own_idx = PublishWriterSummary(&write_stripes);
+        // Else the plain conservative walk: a foreign lock fails it, which the
+        // crossing-committer argument requires at commit time.
+        ro_ok = state_.TrySkipCommit(own_idx, write_stripes, ro_.Size(),
+                                     LoggedOrecs()) ||
+                ValidateRoPrefix(ro_.Size());
       }
       if (!ro_ok) {
         Abort();
@@ -397,20 +371,15 @@ class ShortTm {
     void StartAttempt() {
       // Health watchdog attempt-start feed (no-op unless SPECTM_HEALTH):
       // observes foreign serial holds before the escalation decision below,
-      // and refreshes the ring-saturation gauge from this thread's intersect
-      // failures so the window close in OnOutcome sees the current level.
+      // and refreshes the ring-saturation gauge.
       Cm::NoteAttemptStart(*desc_);
-      if constexpr (health::kEnabled && kStrategic) {
-        health::SetRingGauge<DomainTag>(Summary::Fails().intersect);
-      }
+      FeedRingGauge<DomainTag, Summary>();
       if (!serial_ && Cm::ShouldEscalate(*desc_)) {
         Gate::AcquireSerial(desc_);
         serial_ = true;
         Cm::NoteEscalated(*desc_);
       }
-      if constexpr (kStrategic) {
-        state_.StartAttempt(kMode, /*has_bloom_ring=*/true, desc_->stats);
-      }
+      state_.StartAttempt(desc_->stats);
     }
 
     // Restores every displaced orec word recorded in the RW set. Shared by
@@ -482,20 +451,17 @@ class ShortTm {
     // (for the partitioned commit-skip test). A pure-RO commit (empty RW set)
     // releases nothing and must not move the counter.
     Word PublishWriterSummary(unsigned* out_stripes = nullptr) {
-      if constexpr (kStrategic) {
-        if (rw_.Empty()) {
-          return 0;
-        }
-        WriteSignature<Summary::kHasBloomRing> sig;
-        for (const RwEntry& e : rw_) {
-          sig.Add(e.orec);
-        }
-        if (out_stripes != nullptr) {
-          *out_stripes = sig.stripes;
-        }
-        return PublishWriterCommit<Summary, Probe>(desc_, sig);
+      if (rw_.Empty()) {
+        return 0;
       }
-      return 0;
+      WriteSignature<Summary::kHasBloomRing> sig;
+      for (const RwEntry& e : rw_) {
+        sig.Add(e.orec);
+      }
+      if (out_stripes != nullptr) {
+        *out_stripes = sig.stripes;
+      }
+      return PublishWriterCommit<Summary, Probe>(desc_, sig);
     }
 
     // Tracked walk: one pass (orec versions are monotone, so a single matching
@@ -504,7 +470,6 @@ class ShortTm {
     // the counter stayed stable across the walk; otherwise the walk result
     // stands but the anchor is invalidated.
     bool ValidateRoPrefixTracked(std::size_t count) const {
-      ++Probe::Get().validation_walks;
       const typename StratState::Snapshot pre_walk = state_.DrawSnapshot();
       if (!ValidateRoPrefix(count)) {
         return false;
@@ -513,12 +478,14 @@ class ShortTm {
       return true;
     }
 
-    // Validates the first `count` RO entries (the per-read fast path excludes the
-    // freshly sandwiched tail entry).
+    // Validates the first `count` RO entries (the passive per-read walk excludes
+    // the freshly sandwiched tail entry). Every RO walk of this engine runs
+    // here, so here is where walks are counted.
     bool ValidateRoPrefix(std::size_t count) const {
       if (SPECTM_FAILPOINT(failpoint::Site::kPreValidate)) {
         return false;
       }
+      ++Probe::Get().validation_walks;
       for (std::size_t i = 0; i < count; ++i) {
         const RoEntry& e = ro_[i];
         const Word w = e.orec->load(std::memory_order_acquire);
@@ -573,7 +540,7 @@ class ShortTm {
       }
     }
 
-    using StratState = StrategyState<Summary, Probe>;
+    using StratState = StrategyState<Summary, Probe, kMode>;
 
     TxDesc* desc_;
     InlineVec<RwEntry, kMaxShortWrites> rw_;
@@ -623,9 +590,7 @@ class ShortTm {
     TxUnwindGuard lock_guard([&orec, old_word] {
       orec.store(old_word, std::memory_order_release);
     });
-    if constexpr (kStrategic) {
-      PublishSingle(&orec, self);  // locked, before the data store
-    }
+    PublishSingle(&orec, self);  // locked, before the data store
     Layout::Data(*s).store(value, std::memory_order_release);
     Word wv = 0;
     if constexpr (Clock::kHasGlobalClock) {
@@ -654,9 +619,7 @@ class ShortTm {
     if (observed != expected) {
       return observed;
     }
-    if constexpr (kStrategic) {
-      PublishSingle(&orec, self);  // locked, before the data store
-    }
+    PublishSingle(&orec, self);  // locked, before the data store
     Layout::Data(*s).store(desired, std::memory_order_release);
     Word wv = 0;
     if constexpr (Clock::kHasGlobalClock) {

@@ -22,6 +22,9 @@
 // default kCounterSkip mode reproduces the classic NOrec skip; kBloom adds the
 // write-bloom pre-filter (needs a kHasBloomRing policy); kAdaptive re-picks per
 // attempt from the descriptor's abort-rate EWMA. Non-precise policies always walk.
+// Under a kMvcc policy (ValSnap) reads run at a pinned snapshot through the
+// version chains until the first Write() promotes the attempt, and commits
+// publish displaced values (mvcc::SnapshotSession, val_word.h).
 #ifndef SPECTM_TM_VAL_FULL_H_
 #define SPECTM_TM_VAL_FULL_H_
 
@@ -31,9 +34,7 @@
 #include "src/common/cacheline.h"
 #include "src/common/failpoint.h"
 #include "src/common/tagged.h"
-#include "src/epoch/epoch.h"
 #include "src/tm/config.h"
-#include "src/tm/mvcc.h"
 #include "src/tm/serial.h"
 #include "src/tm/txdesc.h"
 #include "src/tm/txguard.h"
@@ -48,21 +49,11 @@ template <typename ValidationT, ValMode kMode = ValMode::kCounterSkip>
 class ValFullTm {
  public:
   using Validation = ValidationT;
+  using Summary = Validation;
   using Slot = ValSlotT<Validation::kMvcc>;
   using Probe = ValProbe<ValDomainTag>;
   using Cm = SerialCm<ValDomainTag>;
   using Gate = SerialGate<ValDomainTag>;
-  static constexpr ValMode kValMode = kMode;
-  // Strategy machinery only matters when the counter is precise; otherwise every
-  // path degenerates to the incremental walk and the extra state is dead.
-  static constexpr bool kStrategic = Validation::kPrecise;
-  // MVCC snapshot mode (PR 9): reads run at a pinned snapshot through the
-  // version chains until the first Write() promotes the attempt, and commits
-  // publish displaced values (src/tm/mvcc.h). Everything it adds compiles out
-  // for every other mode.
-  static constexpr bool kSnapshotMode = kMode == ValMode::kSnapshot;
-  static_assert(!kSnapshotMode || Validation::kMvcc,
-                "ValMode::kSnapshot requires a kMvcc validation policy");
 
   class Tx {
    public:
@@ -89,13 +80,9 @@ class ValFullTm {
       user_abort_ = false;
       // Health watchdog attempt-start feed (no-op unless SPECTM_HEALTH):
       // observes foreign serial holds before the escalation decision below,
-      // and refreshes the ring-saturation gauge from this thread's intersect
-      // failures so the window close in OnOutcome sees the current level.
+      // and refreshes the ring-saturation gauge.
       Cm::NoteAttemptStart(*desc_);
-      if constexpr (health::kEnabled && Validation::kHasBloomRing) {
-        health::SetRingGauge<ValDomainTag>(
-            Validation::Summary::Fails().intersect);
-      }
+      FeedRingGauge<ValDomainTag, Validation>();
       // Serial escalation (src/tm/serial.h): token before the first read, so
       // the attempt observes a committer-quiescent domain and cannot abort.
       // The serial commit below still bumps/publishes the writer summary —
@@ -106,37 +93,22 @@ class ValFullTm {
         serial_ = true;
         Cm::NoteEscalated(*desc_);
       }
-      if constexpr (kStrategic) {
-        state_.StartAttempt(kMode, Validation::kHasBloomRing, desc_->stats);
-      } else {
-        state_.Anchor();  // sample kept current for ValidateReads' re-anchor
-      }
-      if constexpr (kSnapshotMode) {
-        // Pin-then-sample (two-step, epoch.h): the done-stamp scan either
-        // sees the pending pin and reclaims nothing, or ran wholly before it
-        // and bounded itself by a clock value our sample can only meet or
-        // exceed — either way no node this snapshot can reach is recycled.
-        // The epoch Guard spans the pin: chain memory retired by writers
-        // (mvcc.h Recycle/DrainDeferred) cannot return to the allocator
-        // while this transaction may still be dereferencing a chain pointer.
-        EpochManager& mgr = mvcc::MvccEpoch();
-        chain_guard_.Acquire(mgr);
-        mgr.BeginSnapshotPin();
-        snapshot_ts_ = Validation::Sample();
-        mgr.SetSnapshotPin(snapshot_ts_);
-        pinned_ = true;
-        snapshot_phase_ = true;
-      }
+      state_.StartAttempt(desc_->stats);
+      snap_.Pin();
     }
 
     Word Read(Slot* s) {
       if (!active_) {
         return 0;
       }
-      if constexpr (kSnapshotMode) {
-        if (snapshot_phase_) {
-          return SnapshotPhaseRead(s);  // wset is empty until promotion
+      if (snap_.in_snapshot()) {  // the wset is empty until promotion
+        Word w;
+        if (!snap_.Read(s, desc_->val_read_log.Size(), state_,
+                        [this] { return ValidateReads(); }, &w)) {
+          return Fail();
         }
+        desc_->val_read_log.PushBack(&s->word, w);
+        return w;
       }
       Word buffered;
       if (desc_->wset.Lookup(s, &buffered)) {  // bloom-filtered: miss is AND+TEST
@@ -168,17 +140,11 @@ class ValFullTm {
       //     intervening commit's write bloom is disjoint from this read set
       //     (the anchor then advances to the current counter). The read
       //     signature is folded from the log only then (StrategyState).
-      if (desc_->val_read_log.Size() > 1) {
-        if constexpr (kStrategic) {
-          if (state_.TrySkipRead(&desc_->stats, desc_->val_read_log.Size(),
-                                 LoggedWords()) ==
-              StratState::ReadSkip::kSkipped) {
-            return w;
-          }
-        }
-        if (!ValidateReads()) {
-          return Fail();
-        }
+      if (desc_->val_read_log.Size() > 1 &&
+          !state_.TrySkipRead(&desc_->stats, desc_->val_read_log.Size(),
+                              LoggedWords()) &&
+          !ValidateReads()) {
+        return Fail();
       }
       return w;
     }
@@ -188,18 +154,12 @@ class ValFullTm {
         return;
       }
       assert((value & kLockBit) == 0 && "val layout reserves bit 0 (use EncodeInt)");
-      if constexpr (kSnapshotMode) {
-        if (snapshot_phase_) {
-          // Promotion: the snapshot values become an ordinary read log, which
-          // must hold at the current clock before this attempt may buffer
-          // writes (a writer that committed over any of them since the
-          // snapshot aborts us — the snapshot cut cannot extend to a write).
-          snapshot_phase_ = false;
-          if (desc_->val_read_log.Size() > 0 && !ValidateReads()) {
-            Fail();
-            return;
-          }
-        }
+      // Promotion (a snapshot attempt's first write): the snapshot values must
+      // hold at the current clock before this attempt may buffer writes.
+      if (!snap_.Promote(desc_->val_read_log.Size(),
+                         [this] { return ValidateReads(); })) {
+        Fail();
+        return;
       }
       desc_->wset.Put(s, value);
     }
@@ -215,7 +175,7 @@ class ValFullTm {
       }
       active_ = false;
       if (user_abort_) {
-        UnpinIfPinned();
+        snap_.Unpin();
         desc_->stats.aborts.fetch_add(1, std::memory_order_relaxed);
         UpdateAbortEwma(desc_->stats, /*aborted=*/true);
         ReleaseSerialIfHeld();
@@ -242,12 +202,6 @@ class ValFullTm {
       // displaced values restored, then the gate flag retracted, then the
       // serial token released (docs/VALIDATION.md §8).
       TxUnwindGuard cleanup([this] {
-        if constexpr (kSnapshotMode) {
-          // Before the locks restore: a kVersionPublish throw left at most
-          // one half-published (unstamped) head per locked slot; stamp each
-          // with the empty interval so no snapshot ever selects it.
-          TombstoneUnstampedHeads();
-        }
         ReleaseLocks();
         OnAbort();
       });
@@ -285,22 +239,16 @@ class ValFullTm {
       // per READ-occupied stripe with the own-bump contribution subtracted, and
       // under kBloom/kStripe foreign commits before our bump may intervene if
       // their write blooms miss our read bloom.
-      bool skip_walk = false;
-      if constexpr (kStrategic) {
-        skip_walk = state_.TrySkipCommit(own_idx, write_sig.stripes,
-                                         desc_->val_read_log.Size(),
-                                         LoggedWords());
-      }
-      if (!skip_walk && !ValidateReads()) {
+      if (!state_.TrySkipCommit(own_idx, write_sig.stripes,
+                                desc_->val_read_log.Size(), LoggedWords()) &&
+          !ValidateReads()) {
         return false;
       }
-      if constexpr (kSnapshotMode) {
-        // Version publication runs after validation (the commit is decided)
-        // but before the guard dismisses: the kVersionPublish pause inside
-        // can throw, and the unwind must tombstone the half-published heads
-        // while we still hold every lock.
-        PublishVersions(own_idx);
-      }
+      // Version publication runs after validation (the commit is decided)
+      // but before the guard dismisses: the kVersionPublish pause inside
+      // can throw, and the unwind must tombstone the half-published heads
+      // while we still hold every lock.
+      Session::PublishVersions(own_idx, desc_->val_lock_log, SlotOf);
       cleanup.Dismiss();  // past the last throwing/failing operation: commit
       for (const WriteSet::Entry& e : desc_->wset) {
         // The value store is also the lock release: one atomic write (§2.4).
@@ -322,14 +270,15 @@ class ValFullTm {
         return;
       }
       active_ = false;
-      UnpinIfPinned();
+      snap_.Unpin();
       ReleaseSerialIfHeld();
       desc_->stats.aborts.fetch_add(1, std::memory_order_relaxed);
       UpdateAbortEwma(desc_->stats, /*aborted=*/true);
     }
 
    private:
-    using StratState = StrategyState<Validation, Probe>;
+    using StratState = StrategyState<Validation, Probe, kMode>;
+    using Session = mvcc::SnapshotSession<Validation, Probe>;
 
     Word Fail() {
       active_ = false;
@@ -344,91 +293,11 @@ class ValFullTm {
       };
     }
 
-    // --- MVCC snapshot machinery (compiled only under kSnapshotMode) ---------
-
-    // One read in snapshot phase: the chain read at the pinned stamp, logged
-    // for a later write promotion. Never validates; the only non-wait-free
-    // exit is a chain truncated below the snapshot, which refreshes the pin.
-    Word SnapshotPhaseRead(Slot* s) {
-      while (true) {
-        const SnapshotReadResult r = SnapshotReadSlot(s, snapshot_ts_);
-        if (r.ok) {
-          typename Probe::Counters& probe = Probe::Get();
-          ++probe.snapshot_reads;
-          probe.version_hops += static_cast<std::uint64_t>(r.hops);
-          desc_->val_read_log.PushBack(&s->word, r.value);
-          return r.value;
-        }
-        if (!RefreshSnapshot()) {
-          return Fail();
-        }
-      }
-    }
-
-    // Truncation fallback: move the pin forward and re-validate the values
-    // already read at a stable clock point, which becomes the new snapshot.
-    // This is the one place snapshot mode can walk or abort — it requires a
-    // writer to have both overflowed a chain and overwritten one of our
-    // reads, i.e. a genuine conflict, never mere same-stripe traffic.
-    bool RefreshSnapshot() {
-      EpochManager& mgr = mvcc::MvccEpoch();
-      mgr.BeginSnapshotPin();
-      snapshot_ts_ = Validation::Sample();
-      mgr.SetSnapshotPin(snapshot_ts_);
-      if (desc_->val_read_log.Size() == 0) {
-        return true;
-      }
-      if (!ValidateReads()) {
-        return false;
-      }
-      // The walk proved the whole log simultaneously valid at the stable
-      // re-anchor point, which may lie past the pre-walk sample; read on at
-      // that point (the pin below it just protects more than needed).
-      snapshot_ts_ = state_.sample();
-      return true;
-    }
-
-    // Publishes every displaced value onto its slot's chain stamped with our
-    // commit index, trims against the done stamp, and drains this thread's
-    // deferred nodes. Caller holds every commit lock; the wset and lock log
-    // were filled by the same iteration, so entries correspond by index.
-    void PublishVersions(Word own_idx) {
-      mvcc::NodePool& pool = mvcc::Pool();
-      const Word done =
-          mvcc::MvccEpoch().SnapshotDoneStamp(Validation::Sample());
-      mvcc::PublishStats pub;
-      std::size_t i = 0;
-      for (const WriteSet::Entry& e : desc_->wset) {
-        Slot* slot = static_cast<Slot*>(e.addr);
-        const ValLockLogEntry& l = desc_->val_lock_log[i++];
-        assert(l.word == &slot->word && "lock log order diverged from write set");
-        mvcc::PublishVersion(slot->versions, l.old_value, own_idx, done, pool,
-                             &pub);
-      }
-      pool.DrainDeferred(done);
-      typename Probe::Counters& probe = Probe::Get();
-      probe.versions_retired += static_cast<std::uint64_t>(pub.retired);
-      probe.chain_splices += static_cast<std::uint64_t>(pub.splices);
-    }
-
-    void TombstoneUnstampedHeads() {
-      for (const ValLockLogEntry& l : desc_->val_lock_log) {
-        // SnapSlot is standard-layout with `word` first (static_assert in
-        // val_word.h): the logged word pointer is pointer-interconvertible
-        // with its slot.
-        Slot* slot = reinterpret_cast<Slot*>(l.word);
-        mvcc::TombstoneUnstampedHead(slot->versions);
-      }
-    }
-
-    void UnpinIfPinned() {
-      if constexpr (kSnapshotMode) {
-        if (pinned_) {
-          mvcc::MvccEpoch().UnpinSnapshot();
-          pinned_ = false;
-          chain_guard_.Release();
-        }
-      }
+    // The slot behind a lock-log entry: SnapSlot (like ValSlot) is
+    // standard-layout with `word` first (static_assert in val_word.h), so the
+    // logged word pointer is pointer-interconvertible with its slot.
+    static Slot* SlotOf(const ValLockLogEntry& l) {
+      return reinterpret_cast<Slot*>(l.word);
     }
 
     // Value-based read-log validation under commit-counter stability, batched:
@@ -475,8 +344,12 @@ class ValFullTm {
       return ~Word{0};
     }
 
+    // Restores every displaced value; the store is also the lock release, so
+    // a snapshot slot's half-published head (a kVersionPublish throw) is
+    // tombstoned first, while the lock still stands.
     void ReleaseLocks() {
       for (const ValLockLogEntry& l : desc_->val_lock_log) {
+        Session::TombstoneUnstampedHead(SlotOf(l));
         l.word->store(l.old_value, std::memory_order_release);
       }
       desc_->val_lock_log.clear();
@@ -499,7 +372,7 @@ class ValFullTm {
     }
 
     void OnCommit() {
-      UnpinIfPinned();
+      snap_.Unpin();
       ExitGateIfHeld();
       desc_->stats.commits.fetch_add(1, std::memory_order_relaxed);
       UpdateAbortEwma(desc_->stats, /*aborted=*/false);
@@ -513,7 +386,7 @@ class ValFullTm {
     }
 
     void OnAbort() {
-      UnpinIfPinned();
+      snap_.Unpin();
       ExitGateIfHeld();
       ReleaseSerialIfHeld();  // fail-point aborts can hit a serial attempt
       desc_->stats.aborts.fetch_add(1, std::memory_order_relaxed);
@@ -527,15 +400,7 @@ class ValFullTm {
     bool user_abort_ = false;
     bool serial_ = false;  // this attempt holds the serialization token
     bool gated_ = false;   // this attempt announced itself as a committer
-    // Snapshot mode only (dead otherwise): the pinned read stamp, whether the
-    // epoch-registry pin is published, whether reads still run through the
-    // chains (cleared by the first Write()'s promotion), and the epoch Guard
-    // held for the pin's duration (keeps retired chain nodes' memory alive
-    // past any pointer this transaction may still hold).
-    Word snapshot_ts_ = 0;
-    bool pinned_ = false;
-    bool snapshot_phase_ = false;
-    EpochManager::GuardSlot chain_guard_;
+    Session snap_;         // empty unless the policy is kMvcc
   };
 
   // Convenience retry wrapper: runs `body(tx)` until it commits. Exception

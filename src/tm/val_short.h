@@ -9,7 +9,10 @@
 //   * RO validation compares values; a locked word can never equal a recorded value
 //     (bit 0), so lock detection is free;
 //   * the general-case safety net is the ValidationPolicy commit counter (see
-//     val_word.h); the default NonReuseValidation makes it a no-op.
+//     val_word.h); the default NonReuseValidation makes it a no-op;
+//   * under a kMvcc policy (ValSnap) RO reads run at a pinned snapshot through
+//     the version chains until the first lock promotes the attempt, and every
+//     writer publishes its displaced values (mvcc::SnapshotSession, val_word.h).
 //
 // Single-operation transactions collapse to bare atomic instructions: SingleRead is
 // one load, SingleCas one compare-and-swap — this is precisely how val-short "closes
@@ -25,9 +28,7 @@
 #include "src/common/failpoint.h"
 #include "src/common/inline_vec.h"
 #include "src/common/tagged.h"
-#include "src/epoch/epoch.h"
 #include "src/tm/config.h"
-#include "src/tm/mvcc.h"
 #include "src/tm/serial.h"
 #include "src/tm/txdesc.h"
 #include "src/tm/txguard.h"
@@ -42,15 +43,24 @@ template <typename ValidationT, ValMode kMode = ValMode::kCounterSkip>
 class ValShortTm {
  public:
   using Validation = ValidationT;
+  using Summary = Validation;
   using Slot = ValSlotT<Validation::kMvcc>;
   using Probe = ValProbe<ValDomainTag>;
   using Cm = SerialCm<ValDomainTag>;
   using Gate = SerialGate<ValDomainTag>;
-  static constexpr ValMode kValMode = kMode;
-  static constexpr bool kStrategic = Validation::kPrecise;
-  static constexpr bool kSnapshotMode = kMode == ValMode::kSnapshot;
-  static_assert(!kSnapshotMode || Validation::kMvcc,
-                "ValMode::kSnapshot requires a kMvcc validation policy");
+
+ private:
+  using Session = mvcc::SnapshotSession<Validation, Probe>;
+  // An RW-set entry: the locked slot and the value its lock displaced (the
+  // read result, the abort-restore record, and the version a snapshot
+  // policy publishes).
+  struct RwEntry {
+    Slot* slot;
+    Word old_value;
+  };
+  static Slot* SlotOf(const RwEntry& e) { return e.slot; }
+
+ public:
 
   class ShortTx {
    public:
@@ -112,12 +122,19 @@ class ValShortTm {
         UnwindForOverflow();
         return 0;
       }
-      if constexpr (kSnapshotMode) {
+      if (snap_.in_snapshot()) {
         // Snapshot phase: one chain traversal at the pinned stamp — no
-        // incremental revalidation of the earlier entries, ever.
-        if (snapshot_phase_) {
-          return SnapshotReadRo(s);
+        // incremental revalidation of the earlier entries, ever. Logged like
+        // any other RO entry: promotion revalidates the log at "now", so a
+        // stale snapshot value correctly fails the upgrade path.
+        Word v;
+        if (!snap_.Read(s, ro_.Size(), state_, [this] { return ValidateRo(); },
+                        &v)) {
+          valid_ = false;
+          return 0;
         }
+        ro_.PushBack(RoEntry{s, v, /*upgraded=*/false});
+        return v;
       }
       const Word w = s->word.load(std::memory_order_acquire);
       if (ValIsLocked(w)) {
@@ -131,28 +148,20 @@ class ValShortTm {
       }
       // Fast path: the first RO entry is trivially consistent on its own (RW entries
       // are pinned by our locks), so only subsequent reads pay the revalidation.
+      // Strategy fast paths (valstrategy.h StrategyState): the persistent
+      // anchor names a counter value at which the whole RO log was
+      // simultaneously valid (every entry was read unlocked, so any writer
+      // that bumped before the anchor had already released these words). A
+      // stable counter — or all-disjoint intervening write blooms — lets the
+      // read-set walk be skipped and the value just read join a still-valid
+      // snapshot.
       const bool first_ro = ro_.Empty();
       ro_.PushBack(RoEntry{s, w, /*upgraded=*/false});
-      if (!first_ro) {
-        // Strategy fast paths (valstrategy.h StrategyState): the persistent
-        // anchor names a counter value at which the whole RO log was
-        // simultaneously valid (every entry was read unlocked, so any writer
-        // that bumped before the anchor had already released these words). A
-        // stable counter — or all-disjoint intervening write blooms — lets the
-        // read-set walk be skipped and the value just read join a still-valid
-        // snapshot.
-        bool ok;
-        if constexpr (kStrategic) {
-          ok = state_.TrySkipRead(&desc_->stats, ro_.Size(), LoggedWords()) ==
-                   StratState::ReadSkip::kSkipped ||
-               ValidateRo();
-        } else {
-          ok = ValidateRo();
-        }
-        if (!ok) {
-          valid_ = false;
-          return 0;
-        }
+      if (!first_ro &&
+          !state_.TrySkipRead(&desc_->stats, ro_.Size(), LoggedWords()) &&
+          !ValidateRo()) {
+        valid_ = false;
+        return 0;
       }
       return w;
     }
@@ -224,10 +233,7 @@ class ValShortTm {
       assert(valid_ && !finished_);
       assert(values.size() == rw_.Size() && "commit arity must match RW access count");
       // Before the stores, while locks are held.
-      [[maybe_unused]] const Word own_idx = PublishWriterSummary();
-      if constexpr (kSnapshotMode) {
-        PublishShortVersions(own_idx);
-      }
+      Session::PublishVersions(PublishWriterSummary(), rw_, SlotOf);
       const Word* v = values.begin();
       for (std::size_t i = 0; i < rw_.Size(); ++i) {
         assert((v[i] & kLockBit) == 0 && "val layout reserves bit 0 (use EncodeInt)");
@@ -247,35 +253,25 @@ class ValShortTm {
       assert(valid_ && !finished_);
       assert(values.size() == rw_.Size());
       bool ro_ok;
-      [[maybe_unused]] Word own_idx = 0;
-      if constexpr (kStrategic) {
-        if (rw_.Empty()) {
-          // A pure-RO snapshot commit never promoted (promotion rides the
-          // first lock): the log is simultaneously valid at the pinned stamp
-          // by construction — no validation at all, the tentpole property.
-          if constexpr (kSnapshotMode) {
-            ro_ok = snapshot_phase_ || ValidateRo();
-          } else {
-            ro_ok = ValidateRo();
-          }
-        } else {
-          unsigned write_stripes = 0;
-          own_idx = PublishWriterSummary(&write_stripes);
-          ro_ok = state_.TrySkipCommit(own_idx, write_stripes, ro_.Size(),
-                                       LoggedWords()) ||
-                  ValidateRo();
-        }
+      Word own_idx = 0;
+      if (rw_.Empty()) {
+        // A pure-RO snapshot commit never promoted (promotion rides the
+        // first lock): the log is simultaneously valid at the pinned stamp
+        // by construction — no validation at all.
+        ro_ok = snap_.in_snapshot() || ValidateRo();
       } else {
-        ro_ok = ValidateRo();
+        unsigned write_stripes = 0;
+        own_idx = PublishWriterSummary(&write_stripes);
+        ro_ok = state_.TrySkipCommit(own_idx, write_stripes, ro_.Size(),
+                                     LoggedWords()) ||
+                ValidateRo();
       }
       if (!ro_ok) {
         Abort();
         return false;
       }
-      if constexpr (kSnapshotMode) {
-        if (!rw_.Empty()) {
-          PublishShortVersions(own_idx);  // locks still held
-        }
+      if (!rw_.Empty()) {
+        Session::PublishVersions(own_idx, rw_, SlotOf);  // locks still held
       }
       const Word* v = values.begin();
       for (std::size_t i = 0; i < rw_.Size(); ++i) {
@@ -289,7 +285,7 @@ class ValShortTm {
     // Tx_RW_k_Abort: put the displaced values back. Restores, never publishes: no
     // value was released, so the commit counter must not move.
     void Abort() {
-      UnpinIfPinned();
+      snap_.Unpin();
       // After an overflow unwind the displaced values were already restored —
       // re-storing them here would clobber whatever other transactions
       // committed into those slots since.
@@ -336,10 +332,6 @@ class ValShortTm {
     std::size_t RoCount() const { return ro_.Size(); }
 
    private:
-    struct RwEntry {
-      Slot* slot;
-      Word old_value;
-    };
     struct RoEntry {
       Slot* slot;
       Word value;
@@ -362,45 +354,23 @@ class ValShortTm {
     void StartAttempt() {
       // Health watchdog attempt-start feed (no-op unless SPECTM_HEALTH):
       // observes foreign serial holds before the escalation decision below,
-      // and refreshes the ring-saturation gauge from this thread's intersect
-      // failures so the window close in OnOutcome sees the current level.
+      // and refreshes the ring-saturation gauge.
       Cm::NoteAttemptStart(*desc_);
-      if constexpr (health::kEnabled && Validation::kHasBloomRing) {
-        health::SetRingGauge<ValDomainTag>(
-            Validation::Summary::Fails().intersect);
-      }
+      FeedRingGauge<ValDomainTag, Validation>();
       if (!serial_ && Cm::ShouldEscalate(*desc_)) {
         Gate::AcquireSerial(desc_);
         serial_ = true;
         Cm::NoteEscalated(*desc_);
       }
-      if constexpr (kStrategic) {
-        state_.StartAttempt(kMode, Validation::kHasBloomRing, desc_->stats);
-      }
-      if constexpr (kSnapshotMode) {
-        // Two-step pin (epoch.h): announce intent, sample, publish — the
-        // done-stamp scan can never miss a pin below its clock bound. The
-        // epoch Guard spans the pin so retired chain nodes' memory outlives
-        // any pointer this transaction may still dereference (mvcc.h).
-        EpochManager& mgr = mvcc::MvccEpoch();
-        chain_guard_.Acquire(mgr);
-        mgr.BeginSnapshotPin();
-        snapshot_ts_ = Validation::Sample();
-        mgr.SetSnapshotPin(snapshot_ts_);
-        pinned_ = true;
-        snapshot_phase_ = true;
-      }
+      state_.StartAttempt(desc_->stats);
+      snap_.Pin();
     }
 
     // Restores every displaced value recorded in the RW set. Shared by Abort()
     // and the overflow unwind; the value store is also the lock release.
     void RestoreDisplacedValues() {
       for (const RwEntry& e : rw_) {
-        if constexpr (kSnapshotMode) {
-          // A throw inside the publish window leaves our unstamped node at
-          // the head: tombstone it while the lock still stands (mvcc.h).
-          mvcc::TombstoneUnstampedHead(e.slot->versions);
-        }
+        Session::TombstoneUnstampedHead(e.slot);  // before the lock release
         e.slot->word.store(e.old_value, std::memory_order_release);
       }
     }
@@ -428,17 +398,11 @@ class ValShortTm {
     }
 
     bool EnterGateForFirstLock() {
-      if constexpr (kSnapshotMode) {
-        if (snapshot_phase_) {
-          // Write promotion: leave the snapshot and bring the read log to
-          // "now" — one value-based walk at a stable clock point, after which
-          // the ordinary stripe protocol governs the rest of the attempt.
-          snapshot_phase_ = false;
-          if (!ro_.Empty() && !ValidateRo()) {
-            valid_ = false;
-            return false;
-          }
-        }
+      // Write promotion (a snapshot attempt's first lock): bring the read log
+      // to "now" before anything is locked.
+      if (!snap_.Promote(ro_.Size(), [this] { return ValidateRo(); })) {
+        valid_ = false;
+        return false;
       }
       if (serial_ || gated_) {
         return true;
@@ -487,7 +451,7 @@ class ValShortTm {
     }
 
     void Finish(bool committed) {
-      UnpinIfPinned();
+      snap_.Unpin();
       // The releasing stores already happened; the gate can drop now (and
       // must not before — see Abort()).
       ExitGateIfHeld();
@@ -508,73 +472,7 @@ class ValShortTm {
       }
     }
 
-    // --- MVCC snapshot machinery (compiled only under kSnapshotMode) -------
-
-    // One snapshot-phase RO read: a single chain traversal at the pinned
-    // stamp, logged like any other RO entry (promotion revalidates the log at
-    // "now", so a stale snapshot value correctly fails the upgrade path).
-    Word SnapshotReadRo(Slot* s) {
-      while (true) {
-        const SnapshotReadResult r = SnapshotReadSlot(s, snapshot_ts_);
-        if (r.ok) {
-          typename Probe::Counters& probe = Probe::Get();
-          ++probe.snapshot_reads;
-          probe.version_hops += static_cast<std::uint64_t>(r.hops);
-          ro_.PushBack(RoEntry{s, r.value, /*upgraded=*/false});
-          return r.value;
-        }
-        if (!RefreshShortSnapshot()) {
-          valid_ = false;
-          return 0;
-        }
-      }
-    }
-
-    // Truncation fallback (see val_full.h RefreshSnapshot): re-pin forward
-    // and prove the existing log simultaneously valid at a stable point.
-    bool RefreshShortSnapshot() {
-      EpochManager& mgr = mvcc::MvccEpoch();
-      mgr.BeginSnapshotPin();
-      snapshot_ts_ = Validation::Sample();
-      mgr.SetSnapshotPin(snapshot_ts_);
-      if (ro_.Empty()) {
-        return true;
-      }
-      if (!ValidateRo()) {
-        return false;
-      }
-      snapshot_ts_ = state_.sample();
-      return true;
-    }
-
-    // Threads every displaced value onto its slot's chain, stamped with this
-    // commit's clock index. Locks held for the whole loop.
-    void PublishShortVersions(Word own_idx) {
-      mvcc::NodePool& pool = mvcc::Pool();
-      const Word done =
-          mvcc::MvccEpoch().SnapshotDoneStamp(Validation::Sample());
-      mvcc::PublishStats pub;
-      for (const RwEntry& e : rw_) {
-        mvcc::PublishVersion(e.slot->versions, e.old_value, own_idx, done,
-                             pool, &pub);
-      }
-      pool.DrainDeferred(done);
-      typename Probe::Counters& probe = Probe::Get();
-      probe.versions_retired += static_cast<std::uint64_t>(pub.retired);
-      probe.chain_splices += static_cast<std::uint64_t>(pub.splices);
-    }
-
-    void UnpinIfPinned() {
-      if constexpr (kSnapshotMode) {
-        if (pinned_) {
-          mvcc::MvccEpoch().UnpinSnapshot();
-          pinned_ = false;
-          chain_guard_.Release();
-        }
-      }
-    }
-
-    using StratState = StrategyState<Validation, Probe>;
+    using StratState = StrategyState<Validation, Probe, kMode>;
 
     TxDesc* desc_;
     InlineVec<RwEntry, kMaxShortWrites> rw_;
@@ -585,19 +483,12 @@ class ValShortTm {
     bool unwound_ = false;  // overflow unwind already restored the values
     bool serial_ = false;   // this attempt holds the serialization token
     bool gated_ = false;    // this attempt announced itself as a committer
-    // Snapshot mode only (dead otherwise): pinned read stamp, pin-published
-    // flag, whether reads still run through the chains, and the epoch Guard
-    // held for the pin's duration (keeps retired chain nodes' memory alive
-    // past any pointer this transaction may still hold).
-    Word snapshot_ts_ = 0;
-    bool pinned_ = false;
-    bool snapshot_phase_ = false;
-    EpochManager::GuardSlot chain_guard_;
+    Session snap_;          // empty unless the policy is kMvcc
   };
 
   // --- Single-operation transactions --------------------------------------------------
 
-  // One atomic load (spinning past transient locks). Under kSnapshotMode the
+  // One atomic load (spinning past transient locks). Under a kMvcc policy the
   // lock may cover a publish window (mvcc.h) and the unstamped head holds the
   // still-current value — but reading it through the chain is unsound without
   // a snapshot pin: node memory is recycled pool-side once selection-dead, so
@@ -656,17 +547,10 @@ class ValShortTm {
         }
       }
       TxUnwindGuard lock_guard([s, w] {
-        if constexpr (kSnapshotMode) {
-          // A throw inside the publish window below leaves our unstamped
-          // node at the head: tombstone it while the lock still stands.
-          mvcc::TombstoneUnstampedHead(s->versions);
-        }
+        Session::TombstoneUnstampedHead(s);  // before the lock release
         s->word.store(w, std::memory_order_release);
       });
-      [[maybe_unused]] const Word own_idx = PublishSingle(s, self);
-      if constexpr (kSnapshotMode) {
-        PublishSingleVersion(s, w, own_idx);
-      }
+      PublishSingle(s, w, self);
       s->word.store(value, std::memory_order_release);
       lock_guard.Dismiss();  // the value store above was the lock release
       return;
@@ -714,17 +598,10 @@ class ValShortTm {
           // Locked at the expected value: bump (one location -> one stripe),
           // then store == release.
           TxUnwindGuard lock_guard([s, w] {
-            if constexpr (kSnapshotMode) {
-              // Tombstone a half-published node before the restoring store
-              // releases the lock (see SingleWrite).
-              mvcc::TombstoneUnstampedHead(s->versions);
-            }
+            Session::TombstoneUnstampedHead(s);  // before the lock release
             s->word.store(w, std::memory_order_release);
           });
-          [[maybe_unused]] const Word own_idx = PublishSingle(s, self);
-          if constexpr (kSnapshotMode) {
-            PublishSingleVersion(s, w, own_idx);
-          }
+          PublishSingle(s, w, self);
           s->word.store(desired, std::memory_order_release);
           lock_guard.Dismiss();  // the value store above was the lock release
           return expected;
@@ -751,25 +628,16 @@ class ValShortTm {
   static TxStats& StatsForCurrentThread() { return DescOf<ValDomainTag>().stats; }
 
  private:
-  // Single-op precise-path writer summary: a one-location write set.
-  static Word PublishSingle(Slot* s, TxDesc* self) {
+  // Single-op precise-path commit publication: a one-location write set, and
+  // under a kMvcc policy its displaced value published onto the slot's chain
+  // stamped with the single op's own commit index. Caller holds the slot
+  // lock; called before the releasing store.
+  static void PublishSingle(Slot* s, Word displaced, TxDesc* self) {
     WriteSignature<Validation::kHasBloomRing> sig;
     sig.Add(&s->word);
-    return PublishWriterCommit<Validation, Probe>(self, sig);
-  }
-
-  // Single-op precise-path version publish: one displaced value onto one
-  // chain, stamped with the single-op's own commit index. Caller holds the
-  // slot lock; called between the counter bump and the releasing store.
-  static void PublishSingleVersion(Slot* s, Word displaced, Word own_idx) {
-    mvcc::NodePool& pool = mvcc::Pool();
-    const Word done = mvcc::MvccEpoch().SnapshotDoneStamp(Validation::Sample());
-    mvcc::PublishStats pub;
-    mvcc::PublishVersion(s->versions, displaced, own_idx, done, pool, &pub);
-    pool.DrainDeferred(done);
-    typename Probe::Counters& probe = Probe::Get();
-    probe.versions_retired += static_cast<std::uint64_t>(pub.retired);
-    probe.chain_splices += static_cast<std::uint64_t>(pub.splices);
+    const RwEntry locked[] = {{s, displaced}};
+    Session::PublishVersions(PublishWriterCommit<Validation, Probe>(self, sig),
+                             locked, SlotOf);
   }
 };
 

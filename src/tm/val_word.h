@@ -114,26 +114,13 @@ inline Word MakeValLocked(TxDesc* owner) {
 
 // `kMvcc` marks the policy whose writers additionally publish every displaced
 // value onto the slot's version chain (src/tm/mvcc.h), stamped with their own
-// commit index — the precondition for ValMode::kSnapshot's pinned-snapshot
-// reads. It also selects the slot type: SnapSlot when true, the one-word
-// ValSlot when false, so a chain touch on a one-word slot cannot compile.
+// commit index — the precondition for pinned-snapshot reads, which the val
+// engines run exactly when the policy is kMvcc (mvcc::SnapshotSession below).
+// It also selects the slot type: SnapSlot when true, the one-word ValSlot when
+// false, so a chain touch on a one-word slot cannot compile.
 
-// Case-3 reliance: no tracking at all. Sound when values satisfy non-re-use (or one
-// of the other two special cases); this is the paper's default for val-short.
-struct NonReuseValidation {
-  static constexpr const char* kName = "non-reuse";
-  static constexpr bool kPrecise = false;
-  static constexpr bool kHasBloomRing = false;
-  static constexpr bool kPartitioned = false;
-  static constexpr bool kMvcc = false;
-  static Word Sample() { return 0; }
-  static bool Stable(Word /*sample*/) { return true; }
-  static bool BloomAdvance(Word* /*sample*/, const Bloom128& /*read_bloom*/) {
-    return true;
-  }
-  // No OnWriterCommit: PublishWriterCommit publishes nothing for a non-precise
-  // policy, so a writer's commit touches no shared word.
-};
+// Case-3 reliance, NonReuseValidation, is the null writer summary; it lives in
+// valstrategy.h because the passive orec families use it too.
 
 // One shared commit counter (Dalessandro et al.): cheap to read, but every writer
 // commit contends on one cache line.
@@ -179,6 +166,7 @@ struct GlobalCounterBloomValidation {
   static bool Stable(Word sample) { return Summary::Stable(sample); }
   static Word StripeNow(int s) { return Summary::StripeNow(s); }
   static StripeSample StripeSampleNow() { return Summary::StripeSampleNow(); }
+  static WriterRing::FailCounts& Fails() { return Summary::Fails(); }
 
   static bool BloomAdvance(Word* sample, const Bloom128& read_bloom) {
     return Summary::BloomAdvance(sample, read_bloom);
@@ -202,8 +190,8 @@ struct GlobalCounterBloomValidation {
 // partitioned counter+bloom policy — same RingDomainTag summary, same stripe
 // counters, same ring — plus kMvcc: committing writers publish every displaced
 // value onto the slot's version chain stamped with their own commit index
-// (src/tm/mvcc.h). Under ValMode::kSnapshot, read-only transactions pin a
-// snapshot from this clock and read through the chains with zero validation;
+// (src/tm/mvcc.h). Read-only transactions pin a snapshot from this clock and
+// read through the chains with zero validation (mvcc::SnapshotSession);
 // read-write transactions keep the precise stripe protocol unchanged.
 struct SnapshotValidation : GlobalCounterBloomValidation {
   static constexpr const char* kName = "snapshot";
@@ -276,6 +264,168 @@ inline SnapshotReadResult SnapshotReadSlot(SnapSlot* s, Word snapshot) {
     return {0, hops, false};  // truncated below the snapshot
   }
 }
+
+namespace mvcc {
+
+// The MVCC side of a val transaction attempt, written once for both val
+// engines and the short engine's single ops: the snapshot pin, the chain
+// reads, the truncation refresh, write promotion, and the writer's
+// displaced-value publish. A kMvcc policy gets the session specialized below;
+// every other policy gets this empty one, whose members compile to nothing,
+// so the engines call them without conditions.
+template <typename Validation, typename Probe, bool = Validation::kMvcc>
+class SnapshotSession {
+ public:
+  void Pin() {}
+  void Unpin() {}
+  static constexpr bool in_snapshot() { return false; }
+  template <typename Validate>
+  static bool Promote(std::size_t /*logged*/, const Validate& /*validate*/) {
+    return true;
+  }
+  template <typename Slot, typename State, typename Validate>
+  static bool Read(Slot* /*s*/, std::size_t /*logged*/, const State& /*state*/,
+                   const Validate& /*validate*/, Word* /*value*/) {
+    return false;
+  }
+  template <typename Slot>
+  static void TombstoneUnstampedHead(Slot* /*s*/) {}
+  template <typename Entries, typename SlotOf>
+  static void PublishVersions(Word /*own_idx*/, const Entries& /*locked*/,
+                              const SlotOf& /*slot_of*/) {}
+};
+
+template <typename Validation, typename Probe>
+class SnapshotSession<Validation, Probe, true> {
+ public:
+  // Pin-then-sample (two-step, epoch.h): the done-stamp scan either sees the
+  // pending pin and reclaims nothing, or ran wholly before it and bounded
+  // itself by a clock value our sample can only meet or exceed — either way
+  // no node this snapshot can reach is recycled. The epoch Guard is taken
+  // first and spans the pin: chain memory retired by writers (NodePool
+  // Recycle/DrainDeferred) cannot return to the allocator while this attempt
+  // may still be dereferencing a chain pointer.
+  void Pin() {
+    chain_guard_.Acquire(MvccEpoch());
+    Repin();
+    pinned_ = true;
+    in_snapshot_ = true;
+  }
+
+  void Unpin() {
+    if (pinned_) {
+      MvccEpoch().UnpinSnapshot();
+      pinned_ = false;
+      chain_guard_.Release();
+    }
+  }
+
+  // True until promotion: reads still run through the chains at the pin.
+  bool in_snapshot() const { return in_snapshot_; }
+
+  // Write promotion, before the attempt's first lock: the `logged` values
+  // read at the snapshot become an ordinary read log, which the engine's walk
+  // (`validate`) must prove current at a stable clock point. A writer that
+  // committed over any of them since the snapshot fails it: the snapshot cut
+  // cannot extend to a write. Afterwards the family's read-write protocol
+  // governs the attempt. No-op once promoted.
+  template <typename Validate>
+  bool Promote(std::size_t logged, const Validate& validate) {
+    if (!in_snapshot_) {
+      return true;
+    }
+    in_snapshot_ = false;
+    return logged == 0 || validate();
+  }
+
+  // One snapshot-phase read: a single chain traversal at the pinned stamp —
+  // no sandwich, no revalidation of the earlier reads. The only exit that is
+  // not wait-free is a chain truncated below the snapshot, which refreshes
+  // the pin (Refresh). Returns false only when that refresh fails; on success
+  // the caller logs *value for a later promotion.
+  template <typename State, typename Validate>
+  bool Read(SnapSlot* s, std::size_t logged, const State& state,
+            const Validate& validate, Word* value) {
+    while (true) {
+      const SnapshotReadResult r = SnapshotReadSlot(s, snapshot_ts_);
+      if (r.ok) {
+        typename Probe::Counters& probe = Probe::Get();
+        ++probe.snapshot_reads;
+        probe.version_hops += static_cast<std::uint64_t>(r.hops);
+        *value = r.value;
+        return true;
+      }
+      if (!Refresh(logged, state, validate)) {
+        return false;
+      }
+    }
+  }
+
+  // Abort-path repair, called with the slot's lock still held: a throw inside
+  // the publish window (kVersionPublish) left our unstamped node at the head;
+  // tombstone it before the restoring store releases the lock (mvcc.h).
+  static void TombstoneUnstampedHead(SnapSlot* s) {
+    mvcc::TombstoneUnstampedHead(s->versions);
+  }
+
+  // The writer's displaced-value publish (full commit, short commit, single
+  // op): threads each locked entry's old_value onto slot_of(entry)'s chain,
+  // stamped with the commit's own clock index, trims every chain against the
+  // done stamp, and drains this thread's deferred nodes. The caller holds
+  // every lock in `locked`, after its commit-time validation, so a
+  // kVersionPublish throw unwinds into TombstoneUnstampedHead.
+  template <typename Entries, typename SlotOf>
+  static void PublishVersions(Word own_idx, const Entries& locked,
+                              const SlotOf& slot_of) {
+    NodePool& pool = Pool();
+    const Word done = MvccEpoch().SnapshotDoneStamp(Validation::Sample());
+    PublishStats pub;
+    for (const auto& e : locked) {
+      PublishVersion(slot_of(e)->versions, e.old_value, own_idx, done, pool,
+                     &pub);
+    }
+    pool.DrainDeferred(done);
+    typename Probe::Counters& probe = Probe::Get();
+    probe.versions_retired += static_cast<std::uint64_t>(pub.retired);
+    probe.chain_splices += static_cast<std::uint64_t>(pub.splices);
+  }
+
+ private:
+  void Repin() {
+    EpochManager& mgr = MvccEpoch();
+    mgr.BeginSnapshotPin();
+    snapshot_ts_ = Validation::Sample();
+    mgr.SetSnapshotPin(snapshot_ts_);
+  }
+
+  // Truncation fallback: move the pin forward and prove the `logged` values
+  // simultaneously valid with the engine's walk (`validate`), which loops to
+  // a stable clock point and re-anchors `state` there. That point, which may
+  // lie past the new pin, becomes the snapshot (the pin below it just
+  // protects more than needed). This is the one place a snapshot attempt can
+  // walk or abort, and it takes a writer that both overflowed a chain and
+  // overwrote one of our reads: a genuine conflict, never mere same-stripe
+  // traffic.
+  template <typename State, typename Validate>
+  bool Refresh(std::size_t logged, const State& state, const Validate& validate) {
+    Repin();
+    if (logged == 0) {
+      return true;
+    }
+    if (!validate()) {
+      return false;
+    }
+    snapshot_ts_ = state.sample();
+    return true;
+  }
+
+  Word snapshot_ts_ = 0;      // the pinned read stamp
+  bool pinned_ = false;       // the epoch-registry pin is published
+  bool in_snapshot_ = false;  // reads still run through the chains
+  EpochManager::GuardSlot chain_guard_;
+};
+
+}  // namespace mvcc
 
 // Distributed counters (§2.4 last paragraph): each thread bumps its own padded
 // counter on commit — "fast to (logically) increment the shared counter, at the cost

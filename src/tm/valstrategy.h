@@ -91,28 +91,29 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "src/common/cacheline.h"
 #include "src/common/failpoint.h"
+#include "src/common/health.h"
 #include "src/common/tagged.h"
 #include "src/tm/txdesc.h"
 
 namespace spectm {
 
-// Per-family validation mode. kPassive is the zero-overhead default (no summary
-// maintenance at all — the always-walk baseline); the rest maintain the writer
-// summary and consult it as described above.
+// Per-family validation mode: the reader-side strategy StrategyState runs over
+// the family's writer summary. kPassive is the always-walk baseline; an orec
+// family in it keeps no summary at all (its Summary is the null
+// NonReuseValidation below, so StrategyState and PublishWriterCommit compile
+// to nothing). The rest consult the summary as described above. MVCC snapshot
+// reads are not a mode: a kMvcc policy (val_word.h) selects them, and its
+// read-write side runs whichever mode the family names.
 enum class ValMode : std::uint8_t {
   kPassive,
   kCounterSkip,
   kBloom,
   kAdaptive,
   kPartitioned,
-  // MVCC (PR 9): read-only transactions pin a snapshot stamp and read through
-  // the version chains (src/tm/mvcc.h) — no sandwiching, no walks, no aborts;
-  // read-write attempts resolve to the partitioned stripe protocol and
-  // additionally publish displaced values. Requires a kMvcc policy.
-  kSnapshot,
 };
 
 // The strategy a transaction attempt actually runs with (kAdaptive resolves to one
@@ -189,10 +190,6 @@ inline ValStrategy ChooseStrategy(ValMode mode, bool has_bloom_ring,
     case ValMode::kBloom:
       return has_bloom_ring ? ValStrategy::kBloom : ValStrategy::kCounterSkip;
     case ValMode::kPartitioned:
-      return ValStrategy::kStripe;
-    case ValMode::kSnapshot:
-      // Read-only work never reaches a strategy at all (chain reads); this is
-      // the read-write side, which keeps the per-stripe precise protocol.
       return ValStrategy::kStripe;
     case ValMode::kAdaptive: {
       // Efficacy gate: once the engine fell back to walking, skips must prove
@@ -569,6 +566,44 @@ struct WriterSummary {
   }
 };
 
+// The null writer summary. Case-3 reliance (§2.4): no tracking at all, sound
+// when values satisfy non-re-use (or one of the other two special cases); the
+// paper's default for val-short. It is also the Summary of every kPassive orec
+// family, whose readers rely on orec versions alone. Its pseudo-counter is
+// trivially stable and proves nothing, so kPrecise is false: StrategyState
+// consults nothing and PublishWriterCommit publishes nothing (no
+// OnWriterCommit), so a writer's commit touches no shared word.
+struct NonReuseValidation {
+  static constexpr const char* kName = "non-reuse";
+  static constexpr bool kPrecise = false;
+  static constexpr bool kHasBloomRing = false;
+  static constexpr bool kPartitioned = false;
+  static constexpr bool kMvcc = false;
+  static Word Sample() { return 0; }
+  static bool Stable(Word /*sample*/) { return true; }
+};
+
+// The writer summary of an orec domain in mode kMode: the null summary under
+// kPassive, else the domain's WriterSummary, with per-stripe counters only
+// under kPartitioned — they are a domain-wide writer protocol only that mode
+// pays for (WriterSummary's kPartitionedCounters note). Full and short
+// engines of one family name the same type, so they agree on the protocol.
+template <typename DomainTag, ValMode kMode>
+using OrecSummary =
+    std::conditional_t<kMode == ValMode::kPassive, NonReuseValidation,
+                       WriterSummary<DomainTag, kMode == ValMode::kPartitioned>>;
+
+// Health watchdog attempt-start feed (no-op unless SPECTM_HEALTH): refreshes
+// the domain's ring-saturation gauge from this thread's ring intersect
+// failures, so the window close in OnOutcome sees the current level. A
+// ring-less summary has nothing to report.
+template <typename DomainTag, typename SummaryT>
+inline void FeedRingGauge() {
+  if constexpr (health::kEnabled && SummaryT::kHasBloomRing) {
+    health::SetRingGauge<DomainTag>(SummaryT::Fails().intersect);
+  }
+}
+
 // Per-(thread, domain) validation instrumentation, mirroring ClockProbe: plain
 // thread-local integers, zero shared-state cost, release-build enabled. Tests and
 // benches use these to prove the hot-path claims (counter skips firing, the EWMA
@@ -593,7 +628,7 @@ struct ValProbe {
     // jobs each assert their column is the one that moved.
     std::uint64_t simd_batches = 0;
     std::uint64_t scalar_checks = 0;
-    // MVCC evidence (PR 9, ValMode::kSnapshot + src/tm/mvcc.h): reads served
+    // MVCC evidence (kMvcc policies, mvcc::SnapshotSession): reads served
     // at a pinned snapshot (in place or from a chain); chain nodes
     // dereferenced beyond the in-place fast path; nodes unlinked by writers
     // (recycled or deferred); and chain truncation operations. The zero-cost
@@ -661,6 +696,15 @@ Word PublishWriterCommit(TxDesc* self,
   }
 }
 
+// Pre-walk snapshot for tracked walks: the global sample plus (partitioned
+// summaries only) the stripe vector. Drawn global-first: writers bump stripes
+// BEFORE the global counter, so every commit a global sample counts already
+// has its stripe bumps included in a vector drawn after that sample.
+struct AnchorSnapshot {
+  Word global = 0;
+  StripeSample stripes;
+};
+
 // Per-attempt strategy state, shared by all four engines (full/short x orec/val —
 // previously open-coded in each with small drift; the ROADMAP refactor item).
 // Owns the choose/probe-tick at attempt start, the persistent counter anchor
@@ -668,7 +712,9 @@ Word PublishWriterCommit(TxDesc* self,
 // the read signature (read bloom + read-stripe mask), and the
 // counter/stripe/bloom/walk skip quartet with its efficacy-EWMA feedback.
 // SummaryT is anything satisfying the summary concept (WriterSummary, or a
-// ValidationPolicy from val_word.h); ProbeT is the family's ValProbe.
+// ValidationPolicy from val_word.h); ProbeT is the family's ValProbe; kMode is
+// the family's ValMode. A summary that tracks nothing (!kPrecise) selects the
+// null specialization below, so engines call every member unconditionally.
 //
 // The read signature is LAZY. Engines never report individual reads; each skip
 // call instead receives the engine's read log as (size, addr_at), where
@@ -693,21 +739,11 @@ Word PublishWriterCommit(TxDesc* self,
 // so it invalidates the stripe anchor until the next full walk. Mutating members
 // are mutable + const because engines call the skip paths from const validation
 // paths (short_tm's ValidateRo).
-template <typename SummaryT, typename ProbeT>
+template <typename SummaryT, typename ProbeT, ValMode kMode,
+          bool kTracks = SummaryT::kPrecise>
 class StrategyState {
  public:
-  // Outcome of the per-read skip paths: the walk was skipped (stable counter /
-  // stable stripes / disjoint ring range), or the caller must run its walk.
-  enum class ReadSkip : std::uint8_t { kSkipped, kMustWalk };
-
-  // Pre-walk snapshot for tracked walks: the global sample plus (partitioned
-  // summaries only) the stripe vector. Drawn global-first: writers bump stripes
-  // BEFORE the global counter, so every commit a global sample counts already
-  // has its stripe bumps included in a vector drawn after that sample.
-  struct Snapshot {
-    Word global = 0;
-    StripeSample stripes;
-  };
+  using Snapshot = AnchorSnapshot;
 
   // Re-arms for a fresh attempt: pick the strategy from the descriptor EWMAs
   // (hysteretic band edges keyed off the thread's previous steady choice, with
@@ -715,9 +751,9 @@ class StrategyState {
   // and its fold cursor (the caller has just emptied its read log), and anchor
   // the persistent sample BEFORE any read (the skip soundness argument needs
   // the anchor drawn no later than the first read).
-  void StartAttempt(ValMode mode, bool has_bloom_ring, const TxStats& stats) {
+  void StartAttempt(const TxStats& stats) {
     typename ProbeT::Counters& probe = ProbeT::Get();
-    strat_ = ChooseStrategy(mode, has_bloom_ring, AbortEwmaQ16(stats),
+    strat_ = ChooseStrategy(kMode, SummaryT::kHasBloomRing, AbortEwmaQ16(stats),
                             SkipEwmaQ16(stats), probe.has_steady,
                             probe.steady_strategy);
     if constexpr (!SummaryT::kPartitioned) {
@@ -730,7 +766,7 @@ class StrategyState {
     // incremental-with-probing would flap once per probe period.
     probe.steady_strategy = strat_;
     probe.has_steady = true;
-    if (mode == ValMode::kAdaptive && strat_ == ValStrategy::kIncremental &&
+    if (kMode == ValMode::kAdaptive && strat_ == ValStrategy::kIncremental &&
         ++probe.attempt_tick % kSkipProbePeriod == 0) {
       strat_ = ValStrategy::kCounterSkip;  // efficacy probe (see kSkipProbePeriod)
     }
@@ -741,27 +777,16 @@ class StrategyState {
     Anchor();
   }
 
-  ValStrategy strategy() const { return strat_; }
   Word sample() const { return sample_; }
-  bool sample_valid() const { return sample_valid_; }
 
-  void Anchor() const {
-    sample_ = SummaryT::Sample();
-    sample_valid_ = true;
-    if constexpr (SummaryT::kPartitioned) {
-      // The stripe vector costs kCounterStripes extra seq-cst loads; only the
-      // kStripe strategy ever consults it, so other strategies skip the draw.
-      if (strat_ == ValStrategy::kStripe) {
-        stripe_sample_ = SummaryT::StripeSampleNow();
-        stripe_valid_ = true;
-      } else {
-        stripe_valid_ = false;
-      }
-    }
-  }
+  // Length of the walk a per-read skip failure runs over a log of `log_size`
+  // entries. The walk is tracked (it re-anchors the sample), so it covers the
+  // whole log, tail included (tail rule, atop this file).
+  static std::size_t PerReadWalkLength(std::size_t log_size) { return log_size; }
 
   // The skip paths, cheapest first: stable global counter, then (partitioned)
-  // stable READ-occupied stripes, then ring disjointness, else walk. The stripe
+  // stable READ-occupied stripes, then ring disjointness; true means the walk
+  // was skipped, false that the caller must walk. The stripe
   // test is consulted before the ring on purpose: a vector compare against
   // private-ish lines beats scanning ring lanes, and it keeps working after the
   // read bloom has saturated the ring's filter. `log_size`/`addr_at` view the
@@ -771,8 +796,8 @@ class StrategyState {
   // final-validation call sites pass nullptr, matching the engines' historical
   // behavior).
   template <typename AddrAt>
-  ReadSkip TrySkipRead(TxStats* ewma_stats, std::size_t log_size,
-                       const AddrAt& addr_at) const {
+  bool TrySkipRead(TxStats* ewma_stats, std::size_t log_size,
+                   const AddrAt& addr_at) const {
     const bool skippable =
         strat_ != ValStrategy::kIncremental && sample_valid_;
     if (skippable && SummaryT::Stable(sample_)) {
@@ -780,7 +805,7 @@ class StrategyState {
       if (ewma_stats != nullptr) {
         UpdateSkipEwma(*ewma_stats, /*skipped=*/true);
       }
-      return ReadSkip::kSkipped;
+      return true;
     }
     if (skippable) {
       FoldSignature(log_size, addr_at);
@@ -792,7 +817,7 @@ class StrategyState {
         if (ewma_stats != nullptr) {
           UpdateSkipEwma(*ewma_stats, /*skipped=*/true);
         }
-        return ReadSkip::kSkipped;
+        return true;
       }
     }
     if (skippable &&
@@ -808,7 +833,7 @@ class StrategyState {
       if (ewma_stats != nullptr) {
         UpdateSkipEwma(*ewma_stats, /*skipped=*/true);
       }
-      return ReadSkip::kSkipped;
+      return true;
     }
     if (strat_ != ValStrategy::kIncremental && ewma_stats != nullptr) {
       UpdateSkipEwma(*ewma_stats, /*skipped=*/false);
@@ -816,7 +841,7 @@ class StrategyState {
     if (strat_ == ValStrategy::kStripe) {
       ++ProbeT::Get().cross_stripe_walks;  // same-stripe traffic beat every skip
     }
-    return ReadSkip::kMustWalk;
+    return false;
   }
 
   // Commit-time skip for a writer that has bumped-and-published (bump-before-
@@ -918,6 +943,21 @@ class StrategyState {
   }
 
  private:
+  void Anchor() const {
+    sample_ = SummaryT::Sample();
+    sample_valid_ = true;
+    if constexpr (SummaryT::kPartitioned) {
+      // The stripe vector costs kCounterStripes extra seq-cst loads; only the
+      // kStripe strategy ever consults it, so other strategies skip the draw.
+      if (strat_ == ValStrategy::kStripe) {
+        stripe_sample_ = SummaryT::StripeSampleNow();
+        stripe_valid_ = true;
+      } else {
+        stripe_valid_ = false;
+      }
+    }
+  }
+
   // Brings the read signature up to the whole log: hashes entries
   // [folded_, log_size) into the bloom (bloom/stripe strategies; the others never
   // consult it) and, under kStripe, the stripe-occupancy mask. Logs only grow
@@ -977,6 +1017,36 @@ class StrategyState {
   ValStrategy strat_ = ValStrategy::kIncremental;
   mutable bool sample_valid_ = false;
   mutable bool stripe_valid_ = false;
+};
+
+// The null strategy state, for a summary that tracks nothing
+// (NonReuseValidation: the passive orec families and the non-reuse val
+// families). There is no anchor to draw or confirm and no skip to try, so
+// every member is a no-op or a "must walk". Nothing is anchored on the
+// per-read walk, so it keeps the paper's prefix-only shape: the entry just
+// read is consistent at its own read instant and is left out.
+template <typename SummaryT, typename ProbeT, ValMode kMode>
+class StrategyState<SummaryT, ProbeT, kMode, false> {
+ public:
+  using Snapshot = AnchorSnapshot;
+
+  void StartAttempt(const TxStats& /*stats*/) {}
+  static std::size_t PerReadWalkLength(std::size_t log_size) {
+    return log_size - 1;
+  }
+  template <typename AddrAt>
+  bool TrySkipRead(TxStats* /*ewma_stats*/, std::size_t /*log_size*/,
+                   const AddrAt& /*addr_at*/) const {
+    return false;
+  }
+  template <typename AddrAt>
+  bool TrySkipCommit(Word /*own_idx*/, unsigned /*write_stripe_mask*/,
+                     std::size_t /*log_size*/, const AddrAt& /*addr_at*/) const {
+    return false;
+  }
+  Snapshot DrawSnapshot() const { return {}; }
+  void ConfirmAnchorAfterWalk(const Snapshot& /*pre_walk*/) const {}
+  void ReanchorStable(const Snapshot& /*stable*/) const {}
 };
 
 }  // namespace spectm

@@ -181,8 +181,9 @@ using ValPart =
 // abort however hot concurrent writers run. Writers keep the ValPart-style
 // stripe protocol and additionally thread their displaced values onto the
 // chains at commit. SnapshotValidation is GlobalCounterBloomValidation plus
-// the kMvcc marker; the commit counter doubles as the version clock.
-using ValSnap = internal::ValFamilyT<SnapshotValidation, ValMode::kSnapshot>;
+// the kMvcc marker, which alone selects the snapshot session
+// (mvcc::SnapshotSession); the commit counter doubles as the version clock.
+using ValSnap = internal::ValFamilyT<SnapshotValidation, ValMode::kPartitioned>;
 
 // Service-facing aliases (src/svc): the four engine configurations the KV
 // service scenario instantiates over, named by the role they play there rather

@@ -195,6 +195,11 @@ TEST(Epoch, ReadersFollowingATwoNodePathNeverReachAFreedNode) {
   std::atomic<std::uint64_t> reads{0};
   constexpr int kRetirers = 2;
   constexpr int kSwapsPerRetirer = 50000;  // two retires per swap: 200K in total
+  // A reader descheduled inside its Guard blocks every advance; on a loaded
+  // host that can outlast the swaps above, so retirers go on (up to this
+  // bound) until a free has happened while the readers still run.
+  constexpr int kMaxSwapsPerRetirer = 20 * kSwapsPerRetirer;
+  std::atomic<std::uint64_t> swaps{0};
 
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
@@ -215,12 +220,15 @@ TEST(Epoch, ReadersFollowingATwoNodePathNeverReachAFreedNode) {
   std::vector<std::thread> retirers;
   for (int w = 0; w < kRetirers; ++w) {
     retirers.emplace_back([&] {
-      for (int i = 0; i < kSwapsPerRetirer; ++i) {
+      for (int i = 0; i < kSwapsPerRetirer ||
+                      (mgr.FreedCount() == 0 && i < kMaxSwapsPerRetirer);
+           ++i) {
         EpochManager::Guard g(mgr);
         PathNode* old = path.exchange(make_path(), std::memory_order_acq_rel);
         PathNode* old_tail = old->next;
         mgr.Retire(old, poison_and_delete);
         mgr.Retire(old_tail, poison_and_delete);
+        swaps.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
@@ -242,7 +250,7 @@ TEST(Epoch, ReadersFollowingATwoNodePathNeverReachAFreedNode) {
   }
   mgr.ReclaimAllForTesting();
   EXPECT_EQ(mgr.PendingCount(), 0u);
-  EXPECT_EQ(mgr.FreedCount(), 2u * kRetirers * kSwapsPerRetirer + 2u);
+  EXPECT_EQ(mgr.FreedCount(), 2u * swaps.load() + 2u);
 }
 
 // A manager built in the storage of a destroyed one must not inherit the

@@ -137,8 +137,8 @@ TEST(SnapshotMix, ScanSumsThePinnedCut) {
 // walks — yet can never overwrite one of the reader's own reads, so the
 // zero-walk/zero-abort guarantee holds unconditionally. (Overwriting the
 // reader's keys hard enough to overflow a bounded chain, kMaxVersions deep,
-// is the engine's one documented refresh-walk/abort path — val_full.h
-// RefreshSnapshot — and is exercised by the overlapping-churn test below
+// is the engine's one documented refresh-walk/abort path — the snapshot
+// session's Refresh (val_word.h) — and is exercised by the overlapping-churn test below
 // without these assertions.)
 TEST(SnapshotMix, ReadOnlyBatchesNeverWalkNorAbortUnderWriterChurn) {
   Store store;

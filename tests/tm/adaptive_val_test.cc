@@ -674,19 +674,116 @@ TEST(PartitionedSkip, StripeCountersShardTheBump) {
       val_pool, [](ValPart::Slot& s) { return &s.word; });
 }
 
-// NonReuseValidation tracks no commits: its writers bump nothing, so no
-// publish may be counted either.
-TEST(PartitionedSkip, NonReuseCommitsPublishNothing) {
-  using Probe = ValProbe<ValDomainTag>;
-  static Val::Slot a;
-  Val::SingleWrite(&a, EncodeInt(1));
+// The shared commit counters a counting summary of F's domain would bump: the
+// val domain's two precise policies, or the orec domain's WriterSummary in
+// either stripe configuration.
+template <typename F>
+Word DomainCommitCounters() {
+  if constexpr (std::is_same_v<typename F::DomainTag, ValDomainTag>) {
+    return GlobalCounterValidation::Sample() + GlobalCounterBloomValidation::Sample();
+  } else {
+    return WriterSummary<typename F::DomainTag, false>::Sample() +
+           WriterSummary<typename F::DomainTag, true>::Sample();
+  }
+}
+
+// The null summary tracks no commits: the non-reuse val family and the passive
+// orec families (global and local clock, both layouts) bump nothing on any
+// publishing path, so no publish may be counted either.
+template <typename F>
+class NonReuseCommitsPublishNothing : public ::testing::Test {};
+using NullSummaryFamilies = ::testing::Types<Val, OrecG, OrecL, TvarL>;
+TYPED_TEST_SUITE(NonReuseCommitsPublishNothing, NullSummaryFamilies);
+
+TYPED_TEST(NonReuseCommitsPublishNothing, OnEveryPublishingPath) {
+  using F = TypeParam;
+  using Summary = typename F::Full::Summary;
+  using Probe = ValProbe<typename F::DomainTag>;
+  static_assert(std::is_same_v<Summary, NonReuseValidation> &&
+                    std::is_same_v<typename F::Short::Summary, Summary>,
+                "a passive family's engines share the null summary");
+  static typename F::Slot a, b;
+  F::SingleWrite(&a, EncodeInt(1));
+  F::SingleWrite(&b, EncodeInt(2));
+  const auto expect_nothing_published = [](const char* path, const auto& commit) {
+    const Word summary_before = Summary::Sample();
+    const Word counters_before = DomainCommitCounters<F>();
+    Probe::Reset();
+    commit();
+    EXPECT_EQ(Probe::Get().summary_publishes, 0u) << path;
+    EXPECT_EQ(Probe::Get().stripe_bumps, 0u) << path;
+    EXPECT_EQ(Summary::Sample(), summary_before) << path;
+    EXPECT_EQ(DomainCommitCounters<F>(), counters_before) << path;
+  };
+  expect_nothing_published("full commit", [&] {
+    typename F::FullTx tx;
+    tx.Start();
+    tx.Write(&a, EncodeInt(3));
+    tx.Write(&b, EncodeInt(4));
+    EXPECT_TRUE(tx.Commit());
+  });
+  expect_nothing_published("CommitRw", [&] {
+    typename F::ShortTx tx;
+    tx.ReadRw(&a);
+    tx.ReadRw(&b);
+    EXPECT_TRUE(tx.CommitRw({EncodeInt(5), EncodeInt(6)}));
+  });
+  expect_nothing_published("CommitMixed", [&] {
+    typename F::ShortTx tx;
+    tx.ReadRo(&a);
+    tx.ReadRw(&b);
+    EXPECT_TRUE(tx.CommitMixed({EncodeInt(7)}));
+  });
+  expect_nothing_published("SingleWrite",
+                           [&] { F::SingleWrite(&a, EncodeInt(8)); });
+  expect_nothing_published("SingleCas", [&] {
+    EXPECT_EQ(F::SingleCas(&a, EncodeInt(8), EncodeInt(9)), EncodeInt(8));
+  });
+  EXPECT_EQ(DecodeInt(F::SingleRead(&a)), 9u);
+  EXPECT_EQ(DecodeInt(F::SingleRead(&b)), 7u);
+}
+
+// Every read-set walk is counted, whatever the family's mode. A passive
+// local-clock full transaction of n reads walks once per read after the first
+// (the prefix-only walk; nothing to skip against) and not at its read-only
+// commit.
+TEST(WalkCount, PassiveLocalClockFullTxWalksOncePerLaterRead) {
+  using F = OrecL;
+  using Probe = ValProbe<OrecLTag>;
+  constexpr int kReads = 6;
+  static F::Slot slots[kReads];
+  for (int i = 0; i < kReads; ++i) {
+    F::SingleWrite(&slots[i], EncodeInt(static_cast<std::uint64_t>(i)));
+  }
   Probe::Reset();
-  Val::ShortTx tx;
-  tx.ReadRw(&a);
-  EXPECT_TRUE(tx.CommitRw({EncodeInt(2)}));
-  EXPECT_EQ(DecodeInt(Val::SingleRead(&a)), 2u);
-  EXPECT_EQ(Probe::Get().summary_publishes, 0u);
-  EXPECT_EQ(Probe::Get().stripe_bumps, 0u);
+  F::FullTx tx;
+  tx.Start();
+  for (int i = 0; i < kReads; ++i) {
+    EXPECT_EQ(DecodeInt(tx.Read(&slots[i])), static_cast<std::uint64_t>(i));
+  }
+  EXPECT_TRUE(tx.Commit());
+  EXPECT_EQ(Probe::Get().validation_walks, static_cast<std::uint64_t>(kReads - 1));
+}
+
+// A global-clock read past the snapshot extends it: one walk, however many
+// reads the transaction makes; the read-only commit walks nothing.
+TEST(WalkCount, GlobalClockExtensionIsOneWalk) {
+  using F = OrecG;
+  using Probe = ValProbe<OrecGTag>;
+  static F::Slot a, b;
+  F::SingleWrite(&a, EncodeInt(1));
+  F::SingleWrite(&b, EncodeInt(2));
+  Probe::Reset();
+  F::FullTx tx;
+  tx.Start();
+  EXPECT_EQ(DecodeInt(tx.Read(&a)), 1u);
+  EXPECT_EQ(Probe::Get().validation_walks, 0u) << "reads within rv never walk";
+  F::SingleWrite(&b, EncodeInt(3));  // b's version passes the snapshot
+  EXPECT_EQ(DecodeInt(tx.Read(&b)), 3u);
+  ASSERT_TRUE(tx.ok());
+  EXPECT_EQ(Probe::Get().validation_walks, 1u) << "the timebase extension";
+  EXPECT_TRUE(tx.Commit());
+  EXPECT_EQ(Probe::Get().validation_walks, 1u);
 }
 
 // Returns a slot from `pool` whose counter stripe is NOT in `occupied_mask`

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,7 +31,54 @@ using AllFamilies =
     ::testing::Types<OrecG, OrecL, TvarG, TvarL, Val, ValGlobalCounter,
                      ValPerThreadCounter, Pver, ValEager, OrecLBloom,
                      OrecLAdaptive, ValBloom, ValAdaptive>;
-TYPED_TEST_SUITE(TmConcurrency, AllFamilies);
+
+// One name per AllFamilies entry, in order. Tests print as
+// TmConcurrency/<name>.<case>, and CTest runs each family's battery as its own
+// entry, spectm_tm_concurrency_test_<name> (root CMakeLists.txt), so each fits
+// the per-test timeout under TSan.
+constexpr const char* kFamilyNames[] = {
+    "OrecG", "OrecL", "TvarG", "TvarL", "Val", "ValGlobalCounter",
+    "ValPerThreadCounter", "Pver", "ValEager", "OrecLBloom", "OrecLAdaptive",
+    "ValBloom", "ValAdaptive"};
+
+template <typename... Families>
+constexpr std::size_t CountOf(const ::testing::Types<Families...>*) {
+  return sizeof...(Families);
+}
+static_assert(CountOf(static_cast<const AllFamilies*>(nullptr)) ==
+                  sizeof(kFamilyNames) / sizeof(kFamilyNames[0]),
+              "every family needs a name");
+
+#ifdef SPECTM_CONCURRENCY_CTEST_FAMILIES
+// True iff `list` is kFamilyNames joined by commas: a family missing from the
+// CTest registration would silently never run.
+constexpr bool NamesMatch(const char* list) {
+  for (const char* name : kFamilyNames) {
+    while (*name != '\0') {
+      if (*list++ != *name++) {
+        return false;
+      }
+    }
+    if (*list == ',') {
+      ++list;
+    } else if (*list != '\0') {
+      return false;
+    }
+  }
+  return *list == '\0';
+}
+static_assert(NamesMatch(SPECTM_CONCURRENCY_CTEST_FAMILIES),
+              "CMakeLists.txt SPECTM_CONCURRENCY_FAMILIES must list AllFamilies "
+              "in order");
+#endif
+
+struct FamilyName {
+  template <typename Family>
+  static std::string GetName(int i) {
+    return kFamilyNames[i];
+  }
+};
+TYPED_TEST_SUITE(TmConcurrency, AllFamilies, FamilyName);
 
 // No lost updates: every committed full transaction's increment must survive.
 TYPED_TEST(TmConcurrency, FullTxCounterNoLostUpdates) {

@@ -38,9 +38,14 @@ TYPED_TEST(SingleOpLinearizability, SubsequentReadSeesWholeCommit) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> violations{0};
   std::atomic<std::uint64_t> reads_done{0};
+  // Writers start once every reader has read a pair: on a loaded host the
+  // writers can otherwise finish before any reader is scheduled, and the
+  // check would run on no overlapping reads at all.
+  constexpr int kReaders = 4;
+  std::atomic<int> readers_started{0};
 
   std::vector<std::thread> readers;
-  for (int r = 0; r < 4; ++r) {
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
       std::uint64_t local = 0;
       while (!stop.load(std::memory_order_acquire)) {
@@ -49,7 +54,9 @@ TYPED_TEST(SingleOpLinearizability, SubsequentReadSeesWholeCommit) {
         if (rb < ra) {
           violations.fetch_add(1);
         }
-        ++local;
+        if (local++ == 0) {
+          readers_started.fetch_add(1, std::memory_order_release);
+        }
       }
       reads_done.fetch_add(local);
     });
@@ -59,6 +66,9 @@ TYPED_TEST(SingleOpLinearizability, SubsequentReadSeesWholeCommit) {
   std::atomic<std::uint64_t> next{1};
   for (int w = 0; w < 2; ++w) {
     writers.emplace_back([&] {
+      while (readers_started.load(std::memory_order_acquire) < kReaders) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < 30000; ++i) {
         const std::uint64_t k = next.fetch_add(1, std::memory_order_relaxed);
         while (true) {

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/epoch/epoch.h"
@@ -159,17 +160,35 @@ TEST(SnapshotPromotion, ShortFirstLockValidatesSnapshotLog) {
 
 // --- Chain bound: overflow fallback and retirement ----------------------------------
 
+// A snapshot attempt through either engine: both read through one
+// mvcc::SnapshotSession, whose refresh and promotion each engine drives with
+// its own walk.
+struct FullSnapshotTx {
+  F::FullTx tx;
+  FullSnapshotTx() { tx.Start(); }
+  Word Read(F::Slot* s) { return tx.Read(s); }
+  bool ok() const { return tx.ok(); }
+  bool Commit() { return tx.Commit(); }
+};
+
+struct ShortSnapshotTx {
+  F::ShortTx tx;  // pins at construction
+  Word Read(F::Slot* s) { return tx.ReadRo(s); }
+  bool ok() const { return tx.Valid(); }
+  bool Commit() { return tx.CommitMixed({}); }
+};
+
 // A chain truncated below the snapshot is the one case a snapshot read cannot
 // serve: the reader refreshes its pin (one validation walk over what it
 // already read) and continues at the new snapshot — it does not abort.
-TEST(SnapshotChains, OverflowFallsBackToRefreshedSnapshot) {
+template <typename SnapshotTx>
+void ExpectOverflowRefreshes() {
   static F::Slot stable, hot;
   F::SingleWrite(&stable, EncodeInt(11));
   F::SingleWrite(&hot, EncodeInt(0));
   Probe::Reset();
 
-  F::FullTx tx;
-  tx.Start();
+  SnapshotTx tx;
   EXPECT_EQ(DecodeInt(tx.Read(&stable)), 11u);
   // Overflow hot's chain past kMaxVersions while the snapshot is pinned below
   // all of it: the surviving suffix's floors all exceed the pin.
@@ -182,13 +201,21 @@ TEST(SnapshotChains, OverflowFallsBackToRefreshedSnapshot) {
   // so the refresh validation passes) and return the current value.
   EXPECT_EQ(DecodeInt(tx.Read(&hot)), latest);
   ASSERT_TRUE(tx.ok());
-  EXPECT_EQ(DecodeInt(tx.Read(&stable)), 11u);
+  if constexpr (std::is_same_v<SnapshotTx, FullSnapshotTx>) {
+    // (A short transaction names each location once, §2.2.)
+    EXPECT_EQ(DecodeInt(tx.Read(&stable)), 11u);
+  }
   EXPECT_TRUE(tx.Commit());
 
   const Probe::Counters& c = Probe::Get();
   EXPECT_GE(c.validation_walks, 1u) << "the refresh path never walked";
   EXPECT_GE(c.chain_splices, 1u) << "the bound never spliced the chain";
   EXPECT_GT(c.versions_retired, 0u);
+}
+
+TEST(SnapshotChains, OverflowFallsBackToRefreshedSnapshot) {
+  ExpectOverflowRefreshes<FullSnapshotTx>();
+  ExpectOverflowRefreshes<ShortSnapshotTx>();
 }
 
 // Retirement is pin-bounded: a node dropped from a chain while its stamp
