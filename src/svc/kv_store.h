@@ -435,8 +435,8 @@ class KvStore {
 
   static void ReleaseChain(Slot& s) {
     if constexpr (kVersionedSlots) {
-      mvcc::VersionNode* n = s.versions.load(std::memory_order_relaxed);
-      s.versions.store(nullptr, std::memory_order_relaxed);
+      mvcc::VersionNode* n = mvcc::NodeOf(s.versions.load(std::memory_order_relaxed));
+      s.versions.store(0, std::memory_order_relaxed);
       while (n != nullptr) {
         mvcc::VersionNode* next = n->next.load(std::memory_order_relaxed);
         delete n;

@@ -1,24 +1,41 @@
 // Bounded multi-version chains for the `val` layout (MVCC snapshot reads).
 //
-// Every committing writer displaces one word per written slot; the MVCC layer
-// threads those displaced values onto a per-slot chain of VersionNode, newest
-// first, each stamped with the commit-clock index of the commit that displaced
-// it (the flock `persistent_ptr` idiom: publish the link first, resolve the
-// stamp with a lazy CAS). A read-only transaction that pinned snapshot S then
-// reads, per slot, either the current word (newest stamp <= S) or the newest
-// chain node whose validity interval [floor, stamp) contains S — no
-// validation, no sandwiching, no aborts.
+// A committing writer displaces one word per written slot. While a snapshot
+// older than the commit is pinned or pending, the MVCC layer threads those
+// displaced values onto a per-slot chain of VersionNode, newest first, each
+// stamped with the commit-clock index of the commit that displaced it (the
+// flock `persistent_ptr` idiom: publish the link first, resolve the stamp
+// with a lazy CAS). A read-only transaction that pinned snapshot S then
+// reads, per slot, either the current word (its reign began at or before S)
+// or the newest chain node whose validity interval [floor, stamp) contains
+// S — no validation, no sandwiching, no aborts.
+//
+// Versions are kept only while a snapshot can need them. A commit T whose
+// done-stamp scan finds no pin below T (done_stamp >= T) pushes no node: it
+// stores the odd reign tag (T << 1) | 1 in the slot's head word instead and
+// reclaims whatever chain was there (flock's mark bit in the link word, with
+// shortcut_indirect dropping every link the done stamp has passed). The head
+// word (ChainHead) is therefore 0 (no history), an even VersionNode*, or a
+// reign tag saying "the current word has reigned since T; nothing older is
+// kept". A reader at S >= T takes the current word; a reader at S < T finds
+// its version gone and refreshes, as after a bound truncation. The writer's
+// bump precedes its pin scan and a reader's pending pin precedes its clock
+// sample, both seq_cst, so a reader pinned below T is always seen and that
+// refresh never fires because of an elided commit.
 //
 // Interval invariants (immutable once a node is reachable):
-//   * node.floor  = stamp of the node it was pushed over (0 for the first) —
+//   * node.floor  = start of the reign it ended: the stamp of the node it
+//     was pushed over, the reign tag's T, or 0 for a slot with no history —
 //     the commit index at which node.word became the slot's current value.
 //   * node.stamp  = commit index of the commit that displaced node.word;
 //     kUnstamped only transiently, while the pushing writer still holds the
-//     slot's commit lock. chain invariant: node.next.stamp == node.floor.
+//     slot's commit lock. chain invariant: node.next.stamp == node.floor
+//     (a node pushed over a reign tag has no next).
 //   * An aborted publish (throw between push and stamp CAS) is repaired by
 //     stamping the node with its own floor — an empty interval no snapshot
 //     ever selects — never by popping, since a concurrent reader may already
-//     hold the pointer (TombstoneUnstampedHead).
+//     hold the pointer (TombstoneUnstampedHead). Only a push can throw, so
+//     the repair never meets a reign tag.
 //
 // Reclamation: a node can no longer be SELECTED by any snapshot reader once
 // stamp <= done_stamp (EpochManager::SnapshotDoneStamp — the minimum pinned
@@ -31,7 +48,7 @@
 // return that slot's word as its own. So a selection-dead node waits out an
 // epoch grace period in its pool's limbo before any publish may reuse it,
 // memory only returns to the allocator through the epoch manager's Retire,
-// and snapshot transactions hold an epoch Guard for their pinned duration.
+// and snapshot transactions hold an epoch Guard for their whole attempt.
 // The pin bound covers selection; the grace period covers touch and reuse.
 // docs/VALIDATION.md §10 carries the full argument.
 #ifndef SPECTM_TM_MVCC_H_
@@ -66,6 +83,31 @@ struct VersionNode {
   Word word = 0;                            // the displaced value
   std::atomic<VersionNode*> next{nullptr};  // next-older version
 };
+
+// A SnapSlot's chain-head word: 0 (no history), an even VersionNode* (nodes
+// are word-aligned), or an odd reign tag (T << 1) | 1 left by a commit T
+// that kept no version (StampReign). Commit indices stay far below 2^63, so
+// the shift loses nothing.
+using ChainHead = std::atomic<Word>;
+
+constexpr Word ReignTag(Word commit_idx) { return (commit_idx << 1) | 1; }
+constexpr bool IsReignTag(Word head) { return (head & 1) != 0; }
+
+// The newest chain node, or nullptr for an empty head or a reign tag.
+inline VersionNode* NodeOf(Word head) {
+  return IsReignTag(head) ? nullptr : WordToPtr<VersionNode>(head);
+}
+
+// The commit index the head's current reign (for a node: the reign after it)
+// began at: the reign tag's T, the head node's stamp (possibly kUnstamped
+// mid-publish), or 0 for a slot with no history.
+inline Word HeadStamp(Word head) {
+  if (IsReignTag(head)) {
+    return head >> 1;
+  }
+  const VersionNode* n = NodeOf(head);
+  return n != nullptr ? n->stamp.load(std::memory_order_acquire) : 0;
+}
 
 struct DeferredNode {
   VersionNode* node;
@@ -269,19 +311,18 @@ inline void TrimChain(VersionNode* head, Word done_stamp, NodePool& pool,
 // with `commit_idx` (the publishing commit's clock index), then bounds the
 // chain. The caller holds the slot's commit lock for the whole call, which is
 // what makes the head unstamped-window exclusive to us.
-inline void PublishVersion(std::atomic<VersionNode*>& head_ref, Word displaced,
-                           Word commit_idx, Word done_stamp, NodePool& pool,
-                           PublishStats* stats) {
-  VersionNode* head = head_ref.load(std::memory_order_relaxed);
+inline void PublishVersion(ChainHead& head_ref, Word displaced, Word commit_idx,
+                           Word done_stamp, NodePool& pool, PublishStats* stats) {
+  const Word h = head_ref.load(std::memory_order_relaxed);
   VersionNode* n = pool.Acquire();
   // A reachable head is always stamped: its pusher stamped it (or tombstoned
   // it on abort) before releasing the lock we now hold.
-  n->floor = (head != nullptr) ? head->stamp.load(std::memory_order_relaxed) : 0;
+  n->floor = HeadStamp(h);
   assert(n->floor != kUnstamped && "chain head left unstamped by a previous owner");
   n->word = displaced;
   n->stamp.store(kUnstamped, std::memory_order_relaxed);
-  n->next.store(head, std::memory_order_relaxed);
-  head_ref.store(n, std::memory_order_release);
+  n->next.store(NodeOf(h), std::memory_order_relaxed);
+  head_ref.store(PtrToWord(n), std::memory_order_release);
   // The flock-style lazy-stamp window: the link is public, the stamp is not.
   // Snapshot readers that meet the unstamped head retry (the slot is locked);
   // a throw here unwinds into TombstoneUnstampedHead via the commit guard.
@@ -291,22 +332,39 @@ inline void PublishVersion(std::atomic<VersionNode*>& head_ref, Word displaced,
   TrimChain(n, done_stamp, pool, stats);
 }
 
+// The elided publish, for a commit `commit_idx` no snapshot can need a
+// version of (done_stamp >= commit_idx: none is pinned or pending below it).
+// The head becomes the reign tag, and the old chain is reclaimed whole: every
+// node in it has stamp <= commit_idx <= done_stamp, so it is selection-dead
+// and waits out the pool's grace period like any trimmed node. The caller
+// holds the slot's commit lock. No throwing site: nothing to tombstone.
+inline void StampReign(ChainHead& head_ref, Word commit_idx, Word done_stamp,
+                       NodePool& pool, PublishStats* stats) {
+  VersionNode* old = NodeOf(head_ref.load(std::memory_order_relaxed));
+  head_ref.store(ReignTag(commit_idx), std::memory_order_release);
+  if (old != nullptr) {
+    ++stats->splices;
+    ReclaimSuffix(old, done_stamp, pool, stats);
+  }
+}
+
 // Abort-path repair for a throw inside the publish window: an unstamped head
 // under a still-held slot lock is ours. Stamp it with its own floor — the
 // empty interval [floor, floor) that no snapshot ever selects — and leave it
 // chained for normal splicing to reclaim. Popping instead would free a node a
 // concurrent reader may already hold a pointer to.
-inline void TombstoneUnstampedHead(std::atomic<VersionNode*>& head_ref) {
-  VersionNode* head = head_ref.load(std::memory_order_relaxed);
+inline void TombstoneUnstampedHead(ChainHead& head_ref) {
+  VersionNode* head = NodeOf(head_ref.load(std::memory_order_relaxed));
   if (head != nullptr && head->stamp.load(std::memory_order_relaxed) == kUnstamped) {
     head->stamp.store(head->floor, std::memory_order_release);
   }
 }
 
-// Chain length (test support; caller must exclude concurrent pushes).
-inline int ChainLength(const std::atomic<VersionNode*>& head_ref) {
+// Chain length in nodes, 0 under a reign tag (test support; caller must
+// exclude concurrent pushes).
+inline int ChainLength(const ChainHead& head_ref) {
   int len = 0;
-  for (VersionNode* n = head_ref.load(std::memory_order_acquire); n != nullptr;
+  for (VersionNode* n = NodeOf(head_ref.load(std::memory_order_acquire)); n != nullptr;
        n = n->next.load(std::memory_order_acquire)) {
     ++len;
   }

@@ -23,8 +23,9 @@
 // write-bloom pre-filter (needs a kHasBloomRing policy); kAdaptive re-picks per
 // attempt from the descriptor's abort-rate EWMA. Non-precise policies always walk.
 // Under a kMvcc policy (ValSnap) reads run at a pinned snapshot through the
-// version chains until the first Write() promotes the attempt, and commits
-// publish displaced values (mvcc::SnapshotSession, val_word.h).
+// version chains until the first Write() promotes the attempt (and drops its
+// pin), and commits publish the displaced values a pinned snapshot can still
+// need (mvcc::SnapshotSession, val_word.h).
 #ifndef SPECTM_TM_VAL_FULL_H_
 #define SPECTM_TM_VAL_FULL_H_
 

@@ -12,7 +12,8 @@
 //     val_word.h); the default NonReuseValidation makes it a no-op;
 //   * under a kMvcc policy (ValSnap) RO reads run at a pinned snapshot through
 //     the version chains until the first lock promotes the attempt, and every
-//     writer publishes its displaced values (mvcc::SnapshotSession, val_word.h).
+//     writer publishes the displaced values a pinned snapshot can still need
+//     (mvcc::SnapshotSession, val_word.h).
 //
 // Single-operation transactions collapse to bare atomic instructions: SingleRead is
 // one load, SingleCas one compare-and-swap — this is precisely how val-short "closes

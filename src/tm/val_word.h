@@ -41,10 +41,11 @@
 namespace spectm {
 
 // A val slot, chosen by the validation policy's kMvcc marker. ValSlot is the
-// paper's layout: exactly the data+lock word. SnapSlot adds the MVCC chain head,
-// an indirect, bounded, newest-first list of displaced values (src/tm/mvcc.h)
-// that only kMvcc-policy engines read or write. The in-place protocol on `word`
-// is the same for both.
+// paper's layout: exactly the data+lock word. SnapSlot adds the MVCC chain head
+// word: an indirect, bounded, newest-first list of displaced values, or the
+// odd reign tag of a commit that kept none (src/tm/mvcc.h), which only
+// kMvcc-policy engines read or write. The in-place protocol on `word` is the
+// same for both.
 template <bool kVersioned>
 struct ValSlotT {
   std::atomic<Word> word{0};
@@ -53,7 +54,7 @@ struct ValSlotT {
 template <>
 struct ValSlotT<true> {
   std::atomic<Word> word{0};
-  std::atomic<mvcc::VersionNode*> versions{nullptr};
+  mvcc::ChainHead versions{0};
 };
 
 using ValSlot = ValSlotT<false>;
@@ -112,10 +113,12 @@ inline Word MakeValLocked(TxDesc* owner) {
 // every READ-occupied stripe is unchanged. Non-partitioned policies ignore the
 // mask; StrategyState compiles the stripe paths out for them.
 
-// `kMvcc` marks the policy whose writers additionally publish every displaced
+// `kMvcc` marks the policy whose writers additionally publish each displaced
 // value onto the slot's version chain (src/tm/mvcc.h), stamped with their own
-// commit index — the precondition for pinned-snapshot reads, which the val
-// engines run exactly when the policy is kMvcc (mvcc::SnapshotSession below).
+// commit index, while a snapshot below the commit is pinned or pending (else
+// they stamp the slot's reign) — the precondition for pinned-snapshot reads,
+// which the val engines run exactly when the policy is kMvcc
+// (mvcc::SnapshotSession below).
 // It also selects the slot type: SnapSlot when true, the one-word ValSlot when
 // false, so a chain touch on a one-word slot cannot compile.
 
@@ -188,11 +191,12 @@ struct GlobalCounterBloomValidation {
 
 // MVCC snapshot policy (PR 9): writer-side protocol identical to the
 // partitioned counter+bloom policy — same RingDomainTag summary, same stripe
-// counters, same ring — plus kMvcc: committing writers publish every displaced
-// value onto the slot's version chain stamped with their own commit index
-// (src/tm/mvcc.h). Read-only transactions pin a snapshot from this clock and
-// read through the chains with zero validation (mvcc::SnapshotSession);
-// read-write transactions keep the precise stripe protocol unchanged.
+// counters, same ring — plus kMvcc: committing writers publish the displaced
+// values a pinned snapshot can still need onto the slots' version chains,
+// stamped with their own commit index (src/tm/mvcc.h). Read-only transactions
+// pin a snapshot from this clock and read through the chains with zero
+// validation (mvcc::SnapshotSession); read-write transactions keep the
+// precise stripe protocol unchanged.
 struct SnapshotValidation : GlobalCounterBloomValidation {
   static constexpr const char* kName = "snapshot";
   static constexpr bool kMvcc = true;
@@ -204,8 +208,9 @@ struct SnapshotValidation : GlobalCounterBloomValidation {
 // transient states (commit lock held with no usable version yet; unstamped
 // head) — in-flight writers resolve both in a handful of instructions, and on
 // a single core the yield hands them the CPU. Returns ok == false only when
-// the chain has been truncated below the snapshot (deepest floor > snapshot):
-// the caller must refresh its snapshot, never guess.
+// the version the snapshot needs is gone: the chain was truncated below it
+// (deepest floor > snapshot), or a reign tag newer than it kept no chain at
+// all. The caller must refresh its snapshot, never guess.
 struct SnapshotReadResult {
   Word value = 0;
   int hops = 0;    // chain nodes dereferenced (0 = in-place fast path)
@@ -215,13 +220,19 @@ struct SnapshotReadResult {
 inline SnapshotReadResult SnapshotReadSlot(SnapSlot* s, Word snapshot) {
   for (int spins = 0;; ++spins) {
     const Word w = s->word.load(std::memory_order_acquire);
-    mvcc::VersionNode* head = s->versions.load(std::memory_order_acquire);
-    // Schedule point: a writer may push over `head` and trim it here, so the
-    // node is read below only because the pool's grace period keeps it from
-    // reuse until this reader's Guard exits (mvcc.h NodePool).
+    const Word h = s->versions.load(std::memory_order_acquire);
+    // Schedule point: a writer may push over the head node and trim it (or
+    // replace the chain with its reign tag) here, so the node is read below
+    // only because the pool's grace period keeps it from reuse until this
+    // reader's Guard exits (mvcc.h NodePool).
     SPECTM_SCHED_POINT(failpoint::Site::kSnapshotHeadLoad);
-    const Word head_stamp =
-        (head != nullptr) ? head->stamp.load(std::memory_order_acquire) : 0;
+    mvcc::VersionNode* head = mvcc::NodeOf(h);
+    const Word head_stamp = mvcc::HeadStamp(h);
+    if (head == nullptr && head_stamp > snapshot) {
+      // A reign tag newer than the snapshot: that commit kept no version,
+      // because no pin below it was published when it scanned.
+      return {0, 0, false};
+    }
     if (!ValIsLocked(w)) {
       if (head == nullptr || (head_stamp != mvcc::kUnstamped && head_stamp <= snapshot)) {
         return {w, 0, true};  // current value already reigned at the snapshot
@@ -301,26 +312,24 @@ class SnapshotSession<Validation, Probe, true> {
   // Pin-then-sample (two-step, epoch.h): the done-stamp scan either sees the
   // pending pin and reclaims nothing, or ran wholly before it and bounded
   // itself by a clock value our sample can only meet or exceed — either way
-  // no node this snapshot can reach is recycled. The epoch Guard is taken
-  // first and spans the pin: chain memory retired by writers (NodePool
-  // Recycle/DrainDeferred) cannot return to the allocator while this attempt
-  // may still be dereferencing a chain pointer.
+  // no node this snapshot can reach is recycled, and no commit below the
+  // snapshot's stamp elides its version (PublishVersions). The epoch Guard
+  // is taken first and held until Unpin: chain memory retired by writers
+  // (NodePool Recycle/DrainDeferred) cannot return to the allocator while
+  // this attempt may still be dereferencing a chain pointer.
   void Pin() {
     chain_guard_.Acquire(MvccEpoch());
     Repin();
-    pinned_ = true;
     in_snapshot_ = true;
   }
 
   void Unpin() {
-    if (pinned_) {
-      MvccEpoch().UnpinSnapshot();
-      pinned_ = false;
-      chain_guard_.Release();
-    }
+    ReleasePin();
+    chain_guard_.Release();
   }
 
-  // True until promotion: reads still run through the chains at the pin.
+  // True until promotion: reads still run through the chains at the pin,
+  // which is published exactly this long.
   bool in_snapshot() const { return in_snapshot_; }
 
   // Write promotion, before the attempt's first lock: the `logged` values
@@ -328,13 +337,16 @@ class SnapshotSession<Validation, Probe, true> {
   // (`validate`) must prove current at a stable clock point. A writer that
   // committed over any of them since the snapshot fails it: the snapshot cut
   // cannot extend to a write. Afterwards the family's read-write protocol
-  // governs the attempt. No-op once promoted.
+  // governs the attempt, which reads no chain, so the registry pin goes at
+  // once: held to this attempt's own commit, it would make that commit (and
+  // every other writer's meanwhile) push versions no reader needs. The guard
+  // stays until Unpin. No-op once promoted.
   template <typename Validate>
   bool Promote(std::size_t logged, const Validate& validate) {
     if (!in_snapshot_) {
       return true;
     }
-    in_snapshot_ = false;
+    ReleasePin();
     return logged == 0 || validate();
   }
 
@@ -369,20 +381,36 @@ class SnapshotSession<Validation, Probe, true> {
   }
 
   // The writer's displaced-value publish (full commit, short commit, single
-  // op): threads each locked entry's old_value onto slot_of(entry)'s chain,
-  // stamped with the commit's own clock index, trims every chain against the
-  // done stamp, and drains this thread's deferred nodes. The caller holds
-  // every lock in `locked`, after its commit-time validation, so a
-  // kVersionPublish throw unwinds into TombstoneUnstampedHead.
+  // op), decided once per commit by the done stamp, scanned after this
+  // commit's bump at `own_idx`:
+  //   * done >= own_idx: no snapshot below this commit is pinned or pending,
+  //     so none can select a displaced value. Each slot's head becomes the
+  //     commit's reign tag and its old chain is reclaimed (StampReign).
+  //   * otherwise: threads each locked entry's old_value onto
+  //     slot_of(entry)'s chain, stamped with own_idx, and trims every chain
+  //     against the done stamp.
+  // Either way the elision is sound whatever the scan found: a reader at
+  // S < own_idx that meets the tag refreshes rather than reading a stale
+  // value. The bump-then-scan order only makes that refresh impossible for
+  // a pinned reader (docs/VALIDATION.md §10). Then drains this thread's
+  // deferred nodes. The caller holds every lock in `locked`, after its
+  // commit-time validation, so a kVersionPublish throw (push path only)
+  // unwinds into TombstoneUnstampedHead.
   template <typename Entries, typename SlotOf>
   static void PublishVersions(Word own_idx, const Entries& locked,
                               const SlotOf& slot_of) {
     NodePool& pool = Pool();
     const Word done = MvccEpoch().SnapshotDoneStamp(Validation::Sample());
     PublishStats pub;
-    for (const auto& e : locked) {
-      PublishVersion(slot_of(e)->versions, e.old_value, own_idx, done, pool,
-                     &pub);
+    if (done >= own_idx) {
+      for (const auto& e : locked) {
+        StampReign(slot_of(e)->versions, own_idx, done, pool, &pub);
+      }
+    } else {
+      for (const auto& e : locked) {
+        PublishVersion(slot_of(e)->versions, e.old_value, own_idx, done, pool,
+                       &pub);
+      }
     }
     pool.DrainDeferred(done);
     typename Probe::Counters& probe = Probe::Get();
@@ -391,6 +419,13 @@ class SnapshotSession<Validation, Probe, true> {
   }
 
  private:
+  void ReleasePin() {
+    if (in_snapshot_) {
+      MvccEpoch().UnpinSnapshot();
+      in_snapshot_ = false;
+    }
+  }
+
   void Repin() {
     EpochManager& mgr = MvccEpoch();
     mgr.BeginSnapshotPin();
@@ -420,8 +455,7 @@ class SnapshotSession<Validation, Probe, true> {
   }
 
   Word snapshot_ts_ = 0;      // the pinned read stamp
-  bool pinned_ = false;       // the epoch-registry pin is published
-  bool in_snapshot_ = false;  // reads still run through the chains
+  bool in_snapshot_ = false;  // reads run through the chains; pin published
   EpochManager::GuardSlot chain_guard_;
 };
 

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "src/tm/validate_batch.h"
 #include "src/tm/valstrategy.h"
 #include "src/tm/variants.h"
+#include "tests/tm/held_snapshot.h"
 
 namespace spectm {
 namespace {
@@ -228,24 +230,32 @@ TEST(KvStoreStripes, ShardAllocationIsStripeHomed) {
 }
 
 // Slot layout end to end: fill, overwrite, scan and tear down a store over the
-// one-word val slots and over ValSnap's SnapSlot. The overwrites leave version
-// chains on every SnapSlot value word, so the sanitizer jobs prove that the
-// teardown frees them. A node of one-word slots (key, value, next) never
+// one-word val slots and over ValSnap's SnapSlot. With a snapshot held below
+// the overwrites (`held`), they leave version chains on every SnapSlot value
+// word, so the sanitizer jobs prove that the teardown frees them; without
+// one, every value word ends under a reign tag, which the teardown must not
+// take for a node. A node of one-word slots (key, value, next) never
 // straddles a cache line.
 template <typename F>
-void FillOverwriteScanTeardown() {
+void FillOverwriteScanTeardown(bool held = false) {
   constexpr std::size_t kKeys = 2048;
   std::vector<std::uint64_t> keys(kKeys), vals(kKeys), out(kKeys);
   std::uint64_t sum = 0;
   KvStore<F> store;
-  for (std::uint64_t round = 0; round < 3; ++round) {
-    sum = 0;
-    for (std::size_t k = 0; k < kKeys; ++k) {
-      keys[k] = k;
-      vals[k] = 10 * k + round;
-      sum += vals[k];
+  {
+    std::optional<HeldSnapshot> below;
+    if (held) {
+      below.emplace();
     }
-    store.BatchPut(keys.data(), vals.data(), kKeys);
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      sum = 0;
+      for (std::size_t k = 0; k < kKeys; ++k) {
+        keys[k] = k;
+        vals[k] = 10 * k + round;
+        sum += vals[k];
+      }
+      store.BatchPut(keys.data(), vals.data(), kKeys);
+    }
   }
   EXPECT_EQ(store.BatchScan(0, kKeys, out.data()), sum);
   EXPECT_EQ(out, vals);
@@ -253,7 +263,12 @@ void FillOverwriteScanTeardown() {
     typename F::Slot* value = store.DebugValueSlotOf(k);
     ASSERT_NE(value, nullptr);
     if constexpr (std::is_same_v<typename F::Slot, SnapSlot>) {
-      EXPECT_GT(mvcc::ChainLength(value->versions), 0) << "key " << k;
+      if (held) {
+        EXPECT_GT(mvcc::ChainLength(value->versions), 0) << "key " << k;
+      } else {
+        EXPECT_TRUE(mvcc::IsReignTag(value->versions.load(std::memory_order_relaxed)))
+            << "key " << k;
+      }
     } else {
       // Node = {key, value, next}; `value` follows the 8-byte key.
       const auto node = reinterpret_cast<std::uintptr_t>(value) - sizeof(std::uint64_t);
@@ -271,6 +286,10 @@ TEST(KvStoreLayout, OneWordValStoreRoundTripsAndTearsDown) {
 
 TEST(KvStoreLayout, SnapshotStoreReleasesChainsAtTeardown) {
   static_assert(std::is_same_v<SvcSnapshot::Slot, SnapSlot>);
+  FillOverwriteScanTeardown<SvcSnapshot>(/*held=*/true);
+}
+
+TEST(KvStoreLayout, UnpinnedSnapshotStoreEndsUnderReignTags) {
   FillOverwriteScanTeardown<SvcSnapshot>();
 }
 

@@ -20,6 +20,7 @@
 #include "src/tm/mvcc.h"
 #include "src/tm/serial.h"
 #include "src/tm/variants.h"
+#include "tests/tm/held_snapshot.h"
 
 namespace spectm {
 namespace {
@@ -281,11 +282,14 @@ TEST_F(ExceptionSafetyTest, ShortValThrowEverySite) {
 // floor, an empty validity interval) before restoring the displaced value —
 // an unstamped head left behind would wedge every later snapshot read into
 // its publish-window retry loop, and a selectable interval would expose the
-// aborted write to pinned readers.
+// aborted write to pinned readers. Only a push has the site, so a snapshot is
+// held below the commit.
 TEST_F(ExceptionSafetyTest, SnapshotFullPublishThrowTombstonesTheHead) {
-  ValSnap::Slot a, b;
+  // Static slots: the pushed nodes stay reachable after the test.
+  static ValSnap::Slot a, b;
   ValSnap::SingleWrite(&a, EncodeInt(1));
   ValSnap::SingleWrite(&b, EncodeInt(2));
+  HeldSnapshot below;
   failpoint::ResetHits();
   failpoint::ArmThrow(Site::kVersionPublish, 100);
   bool threw = false;
@@ -303,7 +307,7 @@ TEST_F(ExceptionSafetyTest, SnapshotFullPublishThrowTombstonesTheHead) {
   failpoint::Disarm(Site::kVersionPublish);
   EXPECT_TRUE(threw) << "publish site never reached";
   EXPECT_EQ(DecodeInt(ValSnap::SingleRead(&b)), 2u) << "torn write leaked";
-  mvcc::VersionNode* head = b.versions.load(std::memory_order_acquire);
+  mvcc::VersionNode* head = mvcc::NodeOf(b.versions.load(std::memory_order_acquire));
   ASSERT_NE(head, nullptr) << "the pre-fault push vanished";
   const Word stamp = head->stamp.load(std::memory_order_acquire);
   EXPECT_NE(stamp, mvcc::kUnstamped) << "unstamped head leaked past the unwind";
@@ -320,8 +324,9 @@ TEST_F(ExceptionSafetyTest, SnapshotFullPublishThrowTombstonesTheHead) {
 // the commit bump and the releasing store with the lock guard as the only
 // unwind machinery.
 TEST_F(ExceptionSafetyTest, SnapshotSingleOpPublishThrowRestoresSlotAndChain) {
-  ValSnap::Slot s;
+  static ValSnap::Slot s;
   ValSnap::SingleWrite(&s, EncodeInt(1));
+  HeldSnapshot below;
   failpoint::ResetHits();
   failpoint::ArmThrow(Site::kVersionPublish, 100);
   bool threw = false;
@@ -334,7 +339,7 @@ TEST_F(ExceptionSafetyTest, SnapshotSingleOpPublishThrowRestoresSlotAndChain) {
   failpoint::Disarm(Site::kVersionPublish);
   EXPECT_TRUE(threw) << "publish site never reached";
   EXPECT_EQ(DecodeInt(ValSnap::SingleRead(&s)), 1u) << "torn single-op leaked";
-  mvcc::VersionNode* head = s.versions.load(std::memory_order_acquire);
+  mvcc::VersionNode* head = mvcc::NodeOf(s.versions.load(std::memory_order_acquire));
   ASSERT_NE(head, nullptr);
   const Word stamp = head->stamp.load(std::memory_order_acquire);
   EXPECT_NE(stamp, mvcc::kUnstamped) << "unstamped head leaked past the unwind";
@@ -344,6 +349,31 @@ TEST_F(ExceptionSafetyTest, SnapshotSingleOpPublishThrowRestoresSlotAndChain) {
     EXPECT_EQ(DecodeInt(tx.Read(&s)), 1u);
   }));
   ExpectDomainLive<ValSnap>(&s, EncodeInt(4));
+}
+
+// The unpinned twins: with no snapshot below the commit, the publish stamps
+// each slot's reign and never enters the push's throwing window, so an armed
+// kVersionPublish cannot fire and both commits land.
+TEST_F(ExceptionSafetyTest, SnapshotUnpinnedPublishHasNoThrowSite) {
+  ValSnap::Slot a, b;
+  ValSnap::SingleWrite(&a, EncodeInt(1));
+  ValSnap::SingleWrite(&b, EncodeInt(2));
+  failpoint::ResetSiteHits();
+  failpoint::ArmThrow(Site::kVersionPublish, 100);
+  EXPECT_TRUE(ValSnap::Full::Atomically([&](ValSnap::FullTx& tx) {
+    const Word v = tx.Read(&a);
+    if (tx.ok()) {
+      tx.Write(&b, EncodeInt(DecodeInt(v) + 10));
+    }
+  }));
+  ValSnap::SingleWrite(&a, EncodeInt(5));
+  failpoint::Disarm(Site::kVersionPublish);
+  EXPECT_EQ(failpoint::SiteHits(Site::kVersionPublish), 0u);
+  EXPECT_EQ(DecodeInt(ValSnap::SingleRead(&b)), 11u);
+  EXPECT_EQ(DecodeInt(ValSnap::SingleRead(&a)), 5u);
+  EXPECT_TRUE(mvcc::IsReignTag(a.versions.load(std::memory_order_acquire)));
+  EXPECT_TRUE(mvcc::IsReignTag(b.versions.load(std::memory_order_acquire)));
+  ExpectGateClean<ValSnap>();
 }
 
 // A fault erupting inside an ESCALATED attempt: the serial token is the one
@@ -441,11 +471,13 @@ TEST_F(ExceptionSafetyTest, EveryPlantedSiteActuallyFires) {
     }
     failpoint::Disarm(Site::kLockAcquire);
   }
-  // MVCC publication: every single-op write pushes a version (the publish
-  // pause) and scans the pinned snapshots for the done stamp; overwriting the
-  // same slot past the chain bound trims and retires superseded nodes.
+  // MVCC publication: under a snapshot held below them, every single-op write
+  // pushes a version (the publish pause) after scanning the pinned snapshots
+  // for the done stamp; overwriting the same slot past the chain bound trims
+  // and retires superseded nodes.
   {
-    ValSnap::Slot s;
+    static ValSnap::Slot s;  // static: its chain stays reachable
+    HeldSnapshot below;
     for (int i = 0; i < mvcc::kMaxVersions + 2; ++i) {
       ValSnap::SingleWrite(&s, EncodeInt(static_cast<Word>(i)));
     }

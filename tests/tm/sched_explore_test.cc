@@ -23,6 +23,7 @@
 #include "src/epoch/epoch.h"
 #include "src/svc/kv_store.h"
 #include "src/tm/config.h"
+#include "src/tm/mvcc.h"
 #include "src/tm/serial.h"
 #include "src/tm/txdesc.h"
 #include "src/tm/variants.h"
@@ -563,8 +564,10 @@ TEST(SchedExploreMvcc, PinnedSnapshotIsStableAcrossWriterChurn) {
 }
 
 // (4) The version-node reuse ABA, on a two-slot transfer. Both slots are
-// seeded before the pin, so both chains have heads stamped at or below it,
-// and the transfer's publish trims both heads. With immediate pool reuse the
+// seeded under a snapshot pinned below the seed (an unpinned seed would only
+// stamp each slot's reign and keep no node), so both chains have heads
+// stamped at or below the scanner's pin, and the transfer's publish trims
+// both heads. With immediate pool reuse the
 // node trimmed from x came straight back as y's new head, rewritten with y's
 // displaced word, a floor below the pin and a stamp above it; a reader that
 // loaded x's head just before the commit (snapshot-head-load) then returned
@@ -578,8 +581,11 @@ TEST(SchedExploreMvcc, TransferNeverTearsAPinnedTwoSlotScan) {
   ValSnap::Slot* y = &ys;
   std::atomic<bool> violation{false};
   auto make_bodies = [&]() {
+    ValSnap::FullTx below;
+    below.Start();  // an unpromoted snapshot on this thread: the seed pushes
     ValSnap::SingleWrite(x, EncodeInt(kTotal));
     ValSnap::SingleWrite(y, EncodeInt(0));
+    EXPECT_TRUE(below.Commit());
     violation.store(false);
     std::vector<std::function<void()>> bodies;
     bodies.push_back([&] {  // pinned scanner: x then y, one cut
@@ -630,6 +636,109 @@ TEST(SchedExploreMvcc, TransferNeverTearsAPinnedTwoSlotScan) {
   EXPECT_EQ(res.truncated, 0u);
   EXPECT_GT(res.schedules, 10u);
   EXPECT_GT(failpoint::SiteHits(failpoint::Site::kSnapshotHeadLoad), 0u);
+}
+
+// (5) Version elision against a pinned scan. Both slots are seeded with no
+// pin, so both heads are reign tags, and the transfer elides its versions
+// whenever its done-stamp scan finds no pin below its commit. The scan runs
+// after the transfer's bump (kDoneStampAdvance sits between the two), and the
+// scanner publishes its pin before it samples the clock: on every schedule
+// either the transfer sees the pin and pushes, or the scanner's snapshot
+// already covers the transfer's commit and reads its tags as current. So no
+// sum tears, and the scanner never meets a tag above its snapshot, which
+// would send it down the refresh walk. A refresh walks only once the scan
+// has logged a read, so the second case reads a bystander slot first: the
+// transfer holds x and y locked from before its scan to its release, which
+// hides a scan moved ahead of the bump from a scanner that starts at x.
+void ExploreElidingTransfer(bool bystander_first) {
+  using Probe = ValProbe<ValDomainTag>;
+  constexpr Word kTotal = 10;
+  static ValSnap::Slot xs, ys, zs;
+  ValSnap::Slot* x = &xs;
+  ValSnap::Slot* y = &ys;
+  ValSnap::Slot* z = &zs;
+  std::atomic<bool> violation{false};
+  std::atomic<std::uint64_t> scanner_walks{0};
+  std::atomic<std::uint64_t> transfer_scans{0};  // kDoneStampAdvance, all runs
+  auto make_bodies = [&]() {
+    ValSnap::SingleWrite(x, EncodeInt(kTotal));
+    ValSnap::SingleWrite(y, EncodeInt(0));
+    ValSnap::SingleWrite(z, EncodeInt(0));
+    EXPECT_TRUE(mvcc::IsReignTag(x->versions.load()) &&
+                mvcc::IsReignTag(y->versions.load()))
+        << "a seed with no pin pushed a version";
+    violation.store(false);
+    scanner_walks.store(0);
+    std::vector<std::function<void()>> bodies;
+    bodies.push_back([&] {  // pinned scanner: (z,) x then y, one cut
+      const std::uint64_t walks_before = Probe::Get().validation_walks;
+      ValSnap::Full::Atomically([&](ValSnap::FullTx& tx) {
+        if (bystander_first) {
+          (void)tx.Read(z);
+          if (!tx.ok()) {
+            return;
+          }
+        }
+        const Word vx = tx.Read(x);
+        if (!tx.ok()) {
+          return;
+        }
+        const Word vy = tx.Read(y);
+        if (!tx.ok()) {
+          return;
+        }
+        if (DecodeInt(vx) + DecodeInt(vy) != kTotal) {
+          violation.store(true);  // a torn transfer
+        }
+      });
+      scanner_walks.store(Probe::Get().validation_walks - walks_before);
+    });
+    bodies.push_back([&] {  // eliding transfer: one unit from x to y
+      // The scanner commits no write, so only this body reaches the scan.
+      const std::uint64_t scans_before =
+          failpoint::SiteHits(failpoint::Site::kDoneStampAdvance);
+      ValSnap::Full::Atomically([&](ValSnap::FullTx& tx) {
+        const Word vx = tx.Read(x);
+        if (!tx.ok()) {
+          return;
+        }
+        const Word vy = tx.Read(y);
+        if (!tx.ok()) {
+          return;
+        }
+        tx.Write(x, EncodeInt(DecodeInt(vx) - 1));
+        tx.Write(y, EncodeInt(DecodeInt(vy) + 1));
+      });
+      transfer_scans.fetch_add(failpoint::SiteHits(failpoint::Site::kDoneStampAdvance) -
+                               scans_before);
+    });
+    return bodies;
+  };
+  auto check = [&] {
+    return !violation.load() && scanner_walks.load() == 0 &&
+           DecodeInt(ValSnap::SingleRead(x)) == kTotal - 1 &&
+           DecodeInt(ValSnap::SingleRead(y)) == 1u;
+  };
+  Explorer::Options opt;
+  opt.preemption_bound = 2;
+  opt.stop_on_violation = true;
+  const Explorer::Result res = Explorer::Explore(make_bodies, check, opt);
+  EXPECT_FALSE(res.violation_found)
+      << "a pinned scan tore, refreshed, or lost the transfer on: "
+      << sched::FormatTrace(res.violation_trace);
+  EXPECT_TRUE(res.frontier_exhausted);
+  EXPECT_EQ(res.divergences, 0u);
+  EXPECT_EQ(res.truncated, 0u);
+  EXPECT_GT(res.schedules, 10u);
+  EXPECT_GT(transfer_scans.load(), 0u);
+}
+
+TEST(SchedExploreMvcc, ElidingTransferNeverMakesAPinnedScanRefresh) {
+  ExploreElidingTransfer(/*bystander_first=*/false);
+}
+
+TEST(SchedExploreMvcc, ElidingTransferNeverMakesABystanderFirstScanRefresh) {
+  ExploreElidingTransfer(/*bystander_first=*/true);
 }
 
 // ---- Replay determinism on a real engine schedule ----------------------------------

@@ -4,7 +4,9 @@
 // Probe-asserted here: snapshot_reads > 0 with validation_walks == 0 under
 // writer churn; the chain-bound overflow fallback; pin-based retirement (a
 // dropped node a pinned reader could still reach is deferred, never recycled);
-// write promotion; and a TSan-targeted consistency battery over ValSnap.
+// write promotion; version elision (a commit no snapshot can need a version
+// of stamps the slot's reign instead of pushing); and a TSan-targeted
+// consistency battery over ValSnap.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +19,7 @@
 #include "src/tm/config.h"
 #include "src/tm/mvcc.h"
 #include "src/tm/variants.h"
+#include "tests/tm/held_snapshot.h"
 
 namespace spectm {
 namespace {
@@ -26,6 +29,14 @@ using Probe = ValProbe<ValDomainTag>;
 
 std::uint64_t RoAbortsNow() {
   return F::Full::StatsForCurrentThread().aborts.load(std::memory_order_relaxed);
+}
+
+// The commit clock: right after a commit on a quiet domain, that commit's own
+// index.
+Word ClockNow() { return SnapshotValidation::Sample(); }
+
+mvcc::VersionNode* HeadNodeOf(const F::Slot& s) {
+  return mvcc::NodeOf(s.versions.load(std::memory_order_acquire));
 }
 
 // --- The tentpole property, deterministically ---------------------------------------
@@ -113,24 +124,42 @@ TEST(SnapshotPromotion, FirstWriteValidatesAndFailsOnConflict) {
   EXPECT_EQ(DecodeInt(F::SingleRead(&out)), 0u) << "a failed promotion published";
 }
 
+// Promotes a snapshot attempt (read x, write out = x + 10) and commits it.
+void CommitCleanPromotion(F::Slot* x, F::Slot* out) {
+  F::FullTx tx;
+  tx.Start();
+  const Word vx = tx.Read(x);
+  tx.Write(out, EncodeInt(DecodeInt(vx) + 10));
+  ASSERT_TRUE(tx.ok());
+  EXPECT_TRUE(tx.Commit());
+  EXPECT_EQ(DecodeInt(F::SingleRead(out)), 15u);
+}
+
 TEST(SnapshotPromotion, CleanPromotionCommitsAndPublishesVersions) {
   static F::Slot x, out;
   F::SingleWrite(&x, EncodeInt(5));
   F::SingleWrite(&out, EncodeInt(1));
 
-  F::FullTx tx;
-  tx.Start();
-  const Word vx = tx.Read(&x);
-  tx.Write(&out, EncodeInt(DecodeInt(vx) + 10));
-  ASSERT_TRUE(tx.ok());
-  EXPECT_TRUE(tx.Commit());
-  EXPECT_EQ(DecodeInt(F::SingleRead(&out)), 15u);
-  // The commit displaced EncodeInt(1) onto out's chain: a later snapshot that
-  // pinned before this commit would still find it. Chain head must be stamped.
-  mvcc::VersionNode* head = out.versions.load(std::memory_order_acquire);
+  HeldSnapshot below;  // pinned below the commit: its version must be kept
+  CommitCleanPromotion(&x, &out);
+  // The commit displaced EncodeInt(1) onto out's chain: the snapshot pinned
+  // before this commit still finds it. Chain head must be stamped.
+  mvcc::VersionNode* head = HeadNodeOf(out);
   ASSERT_NE(head, nullptr);
   EXPECT_NE(head->stamp.load(std::memory_order_acquire), mvcc::kUnstamped);
   EXPECT_EQ(DecodeInt(head->word), 1u);
+}
+
+// The unpinned twin: no snapshot can need the displaced value, so the commit
+// stamps out's reign with its own index and keeps no node.
+TEST(SnapshotPromotion, CleanPromotionStampsItsReignWhenUnpinned) {
+  static F::Slot x, out;
+  F::SingleWrite(&x, EncodeInt(5));
+  F::SingleWrite(&out, EncodeInt(1));
+
+  CommitCleanPromotion(&x, &out);
+  EXPECT_EQ(out.versions.load(std::memory_order_acquire), mvcc::ReignTag(ClockNow()));
+  EXPECT_EQ(mvcc::ChainLength(out.versions), 0);
 }
 
 // Promotion through the short API rides the first lock (ReadRw / upgrade).
@@ -248,28 +277,210 @@ TEST(SnapshotChains, RetirementDefersNodesAPinnedReaderCouldReach) {
 // The abort path repairs a half-published chain by tombstoning, never by
 // popping: an aborted writer's displaced-value node must be unreachable to
 // every snapshot (empty validity interval), while the slot value is restored.
-TEST(SnapshotChains, AbortedWriterLeavesNoSelectableVersion) {
-  static F::Slot x;
-  F::SingleWrite(&x, EncodeInt(21));
-
-  // A short RW attempt locks x (displacing 21), then aborts.
+// A short RW attempt locks x (displacing 21), then aborts: the head word the
+// seed left must stand unchanged, and a fresh snapshot must read 21 — the
+// abort published nothing selectable.
+void ExpectAbortedWriterLeavesHead(F::Slot* x) {
+  const Word head_before = x->versions.load(std::memory_order_acquire);
   {
     F::ShortTx tx;
-    EXPECT_EQ(DecodeInt(tx.ReadRw(&x)), 21u);
+    EXPECT_EQ(DecodeInt(tx.ReadRw(x)), 21u);
     ASSERT_TRUE(tx.Valid());
     tx.Abort();
   }
-  EXPECT_EQ(DecodeInt(F::SingleRead(&x)), 21u);
-  // Any chain head must be stamped (no dangling unstamped node), and a fresh
-  // snapshot must read 21 — the abort published nothing selectable.
-  mvcc::VersionNode* head = x.versions.load(std::memory_order_acquire);
-  if (head != nullptr) {
-    EXPECT_NE(head->stamp.load(std::memory_order_acquire), mvcc::kUnstamped);
-  }
+  EXPECT_EQ(DecodeInt(F::SingleRead(x)), 21u);
+  EXPECT_EQ(x->versions.load(std::memory_order_acquire), head_before);
   F::FullTx ro;
   ro.Start();
-  EXPECT_EQ(DecodeInt(ro.Read(&x)), 21u);
+  EXPECT_EQ(DecodeInt(ro.Read(x)), 21u);
   EXPECT_TRUE(ro.Commit());
+}
+
+TEST(SnapshotChains, AbortedWriterLeavesNoSelectableVersion) {
+  static F::Slot x;
+  F::SingleWrite(&x, EncodeInt(20));
+  {
+    HeldSnapshot below;  // the seed pushes: x's head is a node
+    F::SingleWrite(&x, EncodeInt(21));
+  }
+  mvcc::VersionNode* head = HeadNodeOf(x);
+  ASSERT_NE(head, nullptr);
+  ExpectAbortedWriterLeavesHead(&x);
+  // No dangling unstamped node.
+  EXPECT_NE(head->stamp.load(std::memory_order_acquire), mvcc::kUnstamped);
+}
+
+// The unpinned twin: the seed stamped x's reign, and the abort keeps the tag.
+TEST(SnapshotChains, AbortedWriterLeavesTheReignTag) {
+  static F::Slot x;
+  F::SingleWrite(&x, EncodeInt(21));
+  ASSERT_EQ(x.versions.load(std::memory_order_acquire), mvcc::ReignTag(ClockNow()));
+  ExpectAbortedWriterLeavesHead(&x);
+}
+
+// --- Version elision: keep versions only while a snapshot can need them ------------
+
+// A commit whose done-stamp scan finds no pin below it pushes nothing: each
+// written slot's head becomes the reign tag of the commit's own index, and no
+// version is retired or spliced, through the single-op, short and full paths
+// (the full one promoted, so its own registry pin is gone by commit time).
+TEST(SnapshotElision, UnpinnedCommitStampsItsReignAndRetiresNothing) {
+  static F::Slot a, b;
+  F::SingleWrite(&a, EncodeInt(1));
+  F::SingleWrite(&b, EncodeInt(2));
+  Probe::Reset();
+
+  F::SingleWrite(&a, EncodeInt(3));
+  EXPECT_EQ(a.versions.load(std::memory_order_acquire), mvcc::ReignTag(ClockNow()));
+  {
+    F::ShortTx tx;
+    const Word va = tx.ReadRw(&a);
+    const Word vb = tx.ReadRw(&b);
+    ASSERT_TRUE(tx.Valid());
+    EXPECT_TRUE(tx.CommitRw({vb, va}));
+  }
+  const Word short_tag = mvcc::ReignTag(ClockNow());
+  EXPECT_EQ(a.versions.load(std::memory_order_acquire), short_tag);
+  EXPECT_EQ(b.versions.load(std::memory_order_acquire), short_tag);
+  EXPECT_TRUE(F::Full::Atomically([&](F::FullTx& tx) {
+    const Word va = tx.Read(&a);
+    const Word vb = tx.Read(&b);
+    if (tx.ok()) {
+      tx.Write(&a, vb);
+      tx.Write(&b, va);
+    }
+  }));
+  const Word full_tag = mvcc::ReignTag(ClockNow());
+  EXPECT_EQ(a.versions.load(std::memory_order_acquire), full_tag);
+  EXPECT_EQ(b.versions.load(std::memory_order_acquire), full_tag);
+  EXPECT_EQ(DecodeInt(F::SingleRead(&a)), 3u);
+  EXPECT_EQ(DecodeInt(F::SingleRead(&b)), 2u);
+
+  const Probe::Counters& c = Probe::Get();
+  EXPECT_EQ(c.versions_retired, 0u);
+  EXPECT_EQ(c.chain_splices, 0u);
+}
+
+// A snapshot pinned below the commit forces the push, whether it is an
+// unpromoted snapshot on the committing thread or on another thread.
+TEST(SnapshotElision, PinBelowTheCommitForcesAPush) {
+  static F::Slot s;
+  F::SingleWrite(&s, EncodeInt(1));
+  {
+    F::FullTx tx;
+    tx.Start();
+    EXPECT_EQ(DecodeInt(tx.Read(&s)), 1u);
+    F::SingleWrite(&s, EncodeInt(2));
+    mvcc::VersionNode* head = HeadNodeOf(s);
+    ASSERT_NE(head, nullptr) << "a same-thread snapshot's pin did not force a push";
+    EXPECT_EQ(head->stamp.load(std::memory_order_acquire), ClockNow());
+    EXPECT_EQ(DecodeInt(head->word), 1u);
+    EXPECT_EQ(DecodeInt(tx.Read(&s)), 1u);
+    EXPECT_TRUE(tx.Commit());
+  }
+  F::SingleWrite(&s, EncodeInt(3));  // the pin is gone: the chain goes too
+  EXPECT_EQ(s.versions.load(std::memory_order_acquire), mvcc::ReignTag(ClockNow()));
+  {
+    HeldSnapshot below;
+    F::SingleWrite(&s, EncodeInt(4));
+    mvcc::VersionNode* head = HeadNodeOf(s);
+    ASSERT_NE(head, nullptr) << "another thread's pin did not force a push";
+    EXPECT_EQ(DecodeInt(head->word), 3u);
+  }
+}
+
+// A pin still in its intent state (kPinPending: published, not yet sampled)
+// may end up at any stamp below the commit, so it forces the push too.
+TEST(SnapshotElision, PendingPinForcesAPush) {
+  static F::Slot s;
+  F::SingleWrite(&s, EncodeInt(1));
+  mvcc::MvccEpoch().BeginSnapshotPin();
+  F::SingleWrite(&s, EncodeInt(2));
+  mvcc::MvccEpoch().UnpinSnapshot();
+  mvcc::VersionNode* head = HeadNodeOf(s);
+  ASSERT_NE(head, nullptr) << "a pending pin did not force a push";
+  EXPECT_EQ(DecodeInt(head->word), 1u);
+}
+
+// A promoted attempt reads no chain, so promotion releases its registry pin
+// (the epoch guard stays until the attempt ends): it no longer blocks another
+// writer's elision while it is still open.
+TEST(SnapshotElision, PromotedAttemptsPinDoesNotBlockElision) {
+  static F::Slot x, out, other;
+  F::SingleWrite(&x, EncodeInt(5));
+  F::SingleWrite(&out, EncodeInt(1));
+  F::SingleWrite(&other, EncodeInt(0));
+  std::atomic<bool> promoted{false};
+  std::atomic<bool> finish{false};
+  std::thread promoter([&] {
+    F::FullTx tx;
+    tx.Start();
+    const Word vx = tx.Read(&x);
+    tx.Write(&out, EncodeInt(DecodeInt(vx) + 10));  // promotion
+    promoted.store(true, std::memory_order_release);
+    while (!finish.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    EXPECT_TRUE(tx.Commit());
+  });
+  while (!promoted.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  F::SingleWrite(&other, EncodeInt(7));
+  EXPECT_EQ(other.versions.load(std::memory_order_acquire), mvcc::ReignTag(ClockNow()))
+      << "an open promoted attempt still held its snapshot pin";
+  finish.store(true, std::memory_order_release);
+  promoter.join();
+  EXPECT_EQ(DecodeInt(F::SingleRead(&out)), 15u);
+}
+
+// A push over a reign tag starts the chain: the new node's floor is the tag's
+// commit index (the displaced value's reign began there) and it has no next.
+TEST(SnapshotElision, PushOverATagTakesTheTagAsFloor) {
+  static F::Slot s;
+  F::SingleWrite(&s, EncodeInt(1));
+  const Word reign = ClockNow();
+  ASSERT_EQ(s.versions.load(std::memory_order_acquire), mvcc::ReignTag(reign));
+
+  F::FullTx tx;
+  tx.Start();
+  EXPECT_EQ(DecodeInt(tx.Read(&s)), 1u);
+  F::SingleWrite(&s, EncodeInt(2));
+  mvcc::VersionNode* head = HeadNodeOf(s);
+  ASSERT_NE(head, nullptr);
+  EXPECT_EQ(head->floor, reign);
+  EXPECT_EQ(head->stamp.load(std::memory_order_acquire), ClockNow());
+  EXPECT_EQ(head->next.load(std::memory_order_acquire), nullptr);
+  EXPECT_EQ(DecodeInt(tx.Read(&s)), 1u);
+  EXPECT_TRUE(tx.Commit());
+}
+
+// A snapshot older than a reign tag finds its version gone: the read reports
+// it (never the current word), and the session refreshes — one walk over its
+// log — and returns the current value. Pinned readers never meet this (the
+// commit's scan sees their pin); the pin is dropped here by hand to stand in
+// for a snapshot the commit could not see.
+TEST(SnapshotElision, SnapshotBelowATagRefreshesToTheCurrentValue) {
+  static F::Slot a, s;
+  F::SingleWrite(&a, EncodeInt(4));
+  F::SingleWrite(&s, EncodeInt(5));
+  const Word reign = ClockNow();
+  EXPECT_FALSE(SnapshotReadSlot(&s, reign - 1).ok);
+  const SnapshotReadResult at_reign = SnapshotReadSlot(&s, reign);
+  ASSERT_TRUE(at_reign.ok);
+  EXPECT_EQ(DecodeInt(at_reign.value), 5u);
+
+  Probe::Reset();
+  F::FullTx tx;
+  tx.Start();
+  EXPECT_EQ(DecodeInt(tx.Read(&a)), 4u);
+  mvcc::MvccEpoch().UnpinSnapshot();
+  F::SingleWrite(&s, EncodeInt(9));
+  ASSERT_EQ(s.versions.load(std::memory_order_acquire), mvcc::ReignTag(ClockNow()));
+  EXPECT_EQ(DecodeInt(tx.Read(&s)), 9u);
+  ASSERT_TRUE(tx.ok());
+  EXPECT_TRUE(tx.Commit());
+  EXPECT_GE(Probe::Get().validation_walks, 1u) << "the tag read did not refresh";
 }
 
 // --- Guard nesting (epoch.h re-entrancy, carried by this PR) ------------------------
