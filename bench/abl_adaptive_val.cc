@@ -422,7 +422,7 @@ bool Run(const std::string& json_path) {
   JsonReport report("adaptive_val");
 
   for (const WorkloadSpec& wl : kWorkloads) {
-    // Local-clock orec family: OrecL (kPassive — no writer summary at all) is the
+    // Local-clock orec family: OrecL (kIncremental — no writer summary at all) is the
     // always-incremental baseline the acceptance sweep compares against.
     std::vector<Row> orec_rows;
     orec_rows.push_back(MeasureFamily<OrecL>("incremental", wl, max_threads));

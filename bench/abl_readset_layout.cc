@@ -484,10 +484,10 @@ bool Run(const std::string& json_path) {
     // of the type, and each instantiation owns its own counters/fail blocks).
     RunScanCell<OrecLBloom, OrecLBloom::Full::Summary, ValProbe<OrecLBloomTag>>(
         report, scan_table, "btree-orec-l", "local", "bloom", width, scan_threads);
-    RunScanCell<ValBloom, GlobalCounterBloomValidation::Summary,
+    RunScanCell<ValBloom, GlobalCounterBloomValidation,
                 ValProbe<ValDomainTag>>(report, scan_table, "btree-val", "none",
                                         "bloom", width, scan_threads);
-    RunScanCell<ValPart, GlobalCounterBloomValidation::Summary,
+    RunScanCell<ValPart, GlobalCounterBloomValidation,
                 ValProbe<ValDomainTag>>(report, scan_table, "btree-val", "none",
                                         "partitioned", width, scan_threads);
   }

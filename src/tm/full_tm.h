@@ -55,26 +55,27 @@
 
 namespace spectm {
 
-// kMode (valstrategy.h) opts the family into the adaptive validation engine:
-// writers then bump the domain's WriterSummary (commit counter + write-bloom ring)
-// while holding their commit locks, and local-clock readers use it to skip the
-// otherwise per-read O(read-set) revalidation (§4.1's "-l" cost). kPassive is the
-// zero-overhead default: its Summary is the null NonReuseValidation, so the
-// strategy and publish calls below compile to nothing — the seed's behavior.
+// kStrategy (valstrategy.h) is the validation strategy the family's readers
+// run. Any but kIncremental gives the domain a WriterSummary (commit counter +
+// write-bloom ring): writers bump it while holding their commit locks, and
+// local-clock readers use it to skip the otherwise per-read O(read-set)
+// revalidation (§4.1's "-l" cost). kIncremental is the zero-overhead default:
+// its Summary is the null NonReuseValidation, so the strategy and publish
+// calls below compile to nothing — the seed's behavior.
 template <typename LayoutT, typename ClockT, typename DomainTag,
-          ValMode kMode = ValMode::kPassive>
+          ValStrategy kStrategy = ValStrategy::kIncremental>
 class FullTm {
  public:
   using Layout = LayoutT;
   using Clock = ClockT;
   using Slot = typename Layout::Slot;
-  using Summary = OrecSummary<DomainTag, kMode>;
+  using Summary = OrecSummary<DomainTag, kStrategy>;
   using Probe = ValProbe<DomainTag>;
   using Cm = SerialCm<DomainTag>;
   using Gate = SerialGate<DomainTag>;
   // Reader-side strategy only pays off where per-read revalidation exists: the
   // local-clock families. Global-clock readers keep rv-sampling + extension.
-  static_assert(kMode == ValMode::kPassive || !Clock::kHasGlobalClock,
+  static_assert(kStrategy == ValStrategy::kIncremental || !Clock::kHasGlobalClock,
                 "a global-clock family validates by rv-sampling and extension; "
                 "a writer summary would have no per-read walk to skip");
 
@@ -289,7 +290,7 @@ class FullTm {
       // Commit-time skip (StrategyState): own_idx == sample + 1 proves no
       // foreign commit bumped since the log was last known valid (writers that
       // bump after us validate after our locks are visible and detect us
-      // instead); under kPartitioned the same holds one stripe at a time, and
+      // instead); under kStripe the same holds one stripe at a time, and
       // under kBloom/kStripe foreign commits in (sample, own_idx) may
       // intervene as long as their write blooms miss our read bloom. Our own
       // commit locks pin the write set regardless. The commit-time walk is the
@@ -330,7 +331,7 @@ class FullTm {
     }
 
    private:
-    using StratState = StrategyState<Summary, Probe, kMode>;
+    using StratState = StrategyState<Summary, Probe, kStrategy>;
 
     Word Fail() {
       active_ = false;

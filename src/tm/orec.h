@@ -49,7 +49,7 @@ inline Word MakeOrecLocked(TxDesc* owner) {
 //     lands at index bits 9..11), so every orec lives in the same counter
 //     stripe as every data address that hashes to it:
 //         CounterStripeOf(&table.ForAddr(a)) == CounterStripeOf(a).
-//     Under ValMode::kPartitioned a structurally local read set therefore
+//     Under ValStrategy::kStripe a structurally local read set therefore
 //     occupies the same few stripes whether validation keys off the data words
 //     or off their orecs — the striped-table/stripe-counter alignment the
 //     ROADMAP carried as follow-up. The price is the same as any region

@@ -44,21 +44,21 @@
 
 namespace spectm {
 
-// kMode (valstrategy.h) opts the family into the adaptive validation engine: RW
-// commits and single-op writers bump the domain's WriterSummary while holding their
-// orec locks, and RO readers carry a persistent counter sample so an unchanged
-// counter (or disjoint write blooms) skips the per-read RO-prefix revalidation.
-// kPassive is the zero-overhead default: its Summary is the null
-// NonReuseValidation, so the strategy and publish calls below compile to
-// nothing — the seed's behavior.
+// kStrategy (valstrategy.h) is the validation strategy the family's readers
+// run. Any but kIncremental gives the domain a WriterSummary: RW commits and
+// single-op writers bump it while holding their orec locks, and RO readers
+// carry a persistent counter sample so an unchanged counter (or disjoint write
+// blooms) skips the per-read RO-prefix revalidation. kIncremental is the
+// zero-overhead default: its Summary is the null NonReuseValidation, so the
+// strategy and publish calls below compile to nothing — the seed's behavior.
 template <typename LayoutT, typename ClockT, typename DomainTag,
-          ValMode kMode = ValMode::kPassive>
+          ValStrategy kStrategy = ValStrategy::kIncremental>
 class ShortTm {
  public:
   using Layout = LayoutT;
   using Clock = ClockT;
   using Slot = typename Layout::Slot;
-  using Summary = OrecSummary<DomainTag, kMode>;
+  using Summary = OrecSummary<DomainTag, kStrategy>;
   using Probe = ValProbe<DomainTag>;
   using Cm = SerialCm<DomainTag>;
   using Gate = SerialGate<DomainTag>;
@@ -540,7 +540,7 @@ class ShortTm {
       }
     }
 
-    using StratState = StrategyState<Summary, Probe, kMode>;
+    using StratState = StrategyState<Summary, Probe, kStrategy>;
 
     TxDesc* desc_;
     InlineVec<RwEntry, kMaxShortWrites> rw_;

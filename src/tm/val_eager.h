@@ -176,7 +176,7 @@ struct ValEager {
   using Validation = NonReuseValidation;
   using Slot = ValSlot;
   using Full = ValEagerTm<NonReuseValidation>;
-  using Short = ValShortTm<NonReuseValidation>;
+  using Short = ValShortTm<NonReuseValidation, ValStrategy::kIncremental>;
   using FullTx = Full::Tx;
   using ShortTx = Short::ShortTx;
 

@@ -18,10 +18,12 @@
 // (validate_batch.h) — this engine walks more than any other (per READ under
 // counter policies), so it gains the most from gather-compare.
 //
-// The per-read revalidation is strategy-driven (valstrategy.h StrategyState): the
-// default kCounterSkip mode reproduces the classic NOrec skip; kBloom adds the
-// write-bloom pre-filter (needs a kHasBloomRing policy); kAdaptive re-picks per
-// attempt from the descriptor's abort-rate EWMA. Non-precise policies always walk.
+// The per-read revalidation is strategy-driven (valstrategy.h StrategyState),
+// by the family's kStrategy: kCounterSkip reproduces the classic NOrec skip;
+// kBloom adds the write-bloom pre-filter and kStripe the per-stripe counters
+// (both need a kHasBloomRing policy, kStripe a kPartitioned one); kAdaptive
+// re-picks per attempt from the descriptor's abort-rate EWMA. kIncremental,
+// the one strategy a non-precise policy takes, always walks.
 // Under a kMvcc policy (ValSnap) reads run at a pinned snapshot through the
 // version chains until the first Write() promotes the attempt (and drops its
 // pin), and commits publish the displaced values a pinned snapshot can still
@@ -46,7 +48,7 @@
 
 namespace spectm {
 
-template <typename ValidationT, ValMode kMode = ValMode::kCounterSkip>
+template <typename ValidationT, ValStrategy kStrategy>
 class ValFullTm {
  public:
   using Validation = ValidationT;
@@ -236,7 +238,7 @@ class ValFullTm {
       // Commit-time skip (StrategyState): own bump index == anchor + 1 (or, for
       // policies without a single index, a fresh sample at anchor + 1) proves no
       // foreign writer released a value since the log was last known valid (our
-      // own commit locks pin the rest); under kPartitioned the same test runs
+      // own commit locks pin the rest); under kStripe the same test runs
       // per READ-occupied stripe with the own-bump contribution subtracted, and
       // under kBloom/kStripe foreign commits before our bump may intervene if
       // their write blooms miss our read bloom.
@@ -278,7 +280,7 @@ class ValFullTm {
     }
 
    private:
-    using StratState = StrategyState<Validation, Probe, kMode>;
+    using StratState = StrategyState<Validation, Probe, kStrategy>;
     using Session = mvcc::SnapshotSession<Validation, Probe>;
 
     Word Fail() {

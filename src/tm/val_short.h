@@ -40,7 +40,12 @@ namespace spectm {
 
 struct ValDomainTag {};
 
-template <typename ValidationT, ValMode kMode = ValMode::kCounterSkip>
+// kStrategy (valstrategy.h) is the validation strategy the family's readers
+// run over the policy's counter: RO reads keep a persistent sample so a
+// stable counter (or a kBloom/kStripe summary proof) skips the RO-set
+// revalidation. kIncremental, the one strategy a non-precise policy takes,
+// always walks.
+template <typename ValidationT, ValStrategy kStrategy>
 class ValShortTm {
  public:
   using Validation = ValidationT;
@@ -473,7 +478,7 @@ class ValShortTm {
       }
     }
 
-    using StratState = StrategyState<Validation, Probe, kMode>;
+    using StratState = StrategyState<Validation, Probe, kStrategy>;
 
     TxDesc* desc_;
     InlineVec<RwEntry, kMaxShortWrites> rw_;

@@ -105,13 +105,15 @@ inline Word MakeValLocked(TxDesc* owner) {
 // intervening commit's bloom is disjoint from its read bloom. Writers hand
 // OnWriterCommit a WriteSignature<kHasBloomRing>: ring policies receive the
 // folded write-set bloom, ring-less ones an unfolded signature they ignore.
+// Only kCounterSkip families may run over a ring-less policy (StrategyState's
+// static_asserts).
 
 // `kPartitioned` marks policies whose counter is additionally sharded into
 // per-stripe counters keyed by the metadata word's address region
 // (valstrategy.h kCounterStripes): writers' signatures carry the stripe mask of
-// their write set, and readers under ValMode::kPartitioned skip walks when
-// every READ-occupied stripe is unchanged. Non-partitioned policies ignore the
-// mask; StrategyState compiles the stripe paths out for them.
+// their write set, and kStripe readers skip walks when every READ-occupied
+// stripe is unchanged. Non-partitioned policies ignore the mask, and
+// StrategyState rejects a kStripe family over one at compile time.
 
 // `kMvcc` marks the policy whose writers additionally publish each displaced
 // value onto the slot's version chain (src/tm/mvcc.h), stamped with their own
@@ -141,9 +143,6 @@ struct GlobalCounterValidation {
 
   static Word Sample() { return Counter().load(std::memory_order_seq_cst); }
   static bool Stable(Word sample) { return Sample() == sample; }
-  static bool BloomAdvance(Word* sample, const Bloom128& /*read_bloom*/) {
-    return Stable(*sample);
-  }
   static Word OnWriterCommit(TxDesc* /*self*/,
                              const WriteSignature<false>& /*sig*/) {
     return Counter().fetch_add(1, std::memory_order_seq_cst) + 1;
@@ -151,46 +150,18 @@ struct GlobalCounterValidation {
 };
 
 // Global counter + write-set bloom ring: the commit bump doubles as the publication
-// index for the writer's 32-bit write bloom, so readers can pre-filter stale
-// counters. A thin facade over WriterSummary (valstrategy.h) — ONE implementation
+// index for the writer's Bloom128 write bloom, so readers can pre-filter stale
+// counters. It IS the domain's WriterSummary (valstrategy.h) — ONE implementation
 // of the counter+ring protocol serves both the orec and the val layouts — on a
 // private domain tag, so families on this policy form their own validation domain.
-struct GlobalCounterBloomValidation {
-  struct RingDomainTag {};
-  using Summary = WriterSummary<RingDomainTag>;
-
+struct ValRingDomainTag {};
+struct GlobalCounterBloomValidation : WriterSummary<ValRingDomainTag> {
   static constexpr const char* kName = "global-counter-bloom";
-  static constexpr bool kPrecise = true;
-  static constexpr bool kHasBloomRing = true;
-  static constexpr bool kPartitioned = Summary::kPartitioned;
   static constexpr bool kMvcc = false;
-
-  static Word Sample() { return Summary::Sample(); }
-  static bool Stable(Word sample) { return Summary::Stable(sample); }
-  static Word StripeNow(int s) { return Summary::StripeNow(s); }
-  static StripeSample StripeSampleNow() { return Summary::StripeSampleNow(); }
-  static WriterRing::FailCounts& Fails() { return Summary::Fails(); }
-
-  static bool BloomAdvance(Word* sample, const Bloom128& read_bloom) {
-    return Summary::BloomAdvance(sample, read_bloom);
-  }
-
-  // Returns the writer's own commit index (see WriterSummary::OnWriterCommit for
-  // the commit-skip contract it feeds and the stripe-mask protocol).
-  static Word OnWriterCommit(TxDesc* self, const WriteSignature<true>& sig) {
-    return Summary::OnWriterCommit(self, sig);
-  }
-
-  // Commit-time bloom pre-filter; the range contract lives in
-  // WriterSummary::CommitRangeDisjoint (single source of the off-by-one).
-  static bool CommitRangeDisjoint(Word sample, Word own_idx,
-                                  const Bloom128& read_bloom) {
-    return Summary::CommitRangeDisjoint(sample, own_idx, read_bloom);
-  }
 };
 
 // MVCC snapshot policy (PR 9): writer-side protocol identical to the
-// partitioned counter+bloom policy — same RingDomainTag summary, same stripe
+// partitioned counter+bloom policy — same ValRingDomainTag summary, same stripe
 // counters, same ring — plus kMvcc: committing writers publish the displaced
 // values a pinned snapshot can still need onto the slots' version chains,
 // stamped with their own commit index (src/tm/mvcc.h). Read-only transactions
@@ -482,9 +453,6 @@ struct PerThreadCounterValidation {
   }
 
   static bool Stable(Word sample) { return Sample() == sample; }
-  static bool BloomAdvance(Word* sample, const Bloom128& /*read_bloom*/) {
-    return Stable(*sample);
-  }
 
   // No single commit index exists for a distributed sum; callers use the uniform
   // "Sample() == sample + 1 after own bump" test instead (sums count all bumps,

@@ -108,7 +108,8 @@ __attribute__((target("avx2"))) inline std::uint32_t GatherCompare4(
 // body actually ran (wired into ValProbe by the engines).
 template <typename MismatchFn>
 inline bool ValidateEqualSpan(std::atomic<Word>* const* ptrs, const Word* expected,
-                              std::size_t count, std::uint64_t& simd_batches,
+                              std::size_t count,
+                              [[maybe_unused]] std::uint64_t& simd_batches,
                               std::uint64_t& scalar_checks, MismatchFn&& mismatch) {
   std::size_t i = 0;
 #if SPECTM_BATCH_SIMD

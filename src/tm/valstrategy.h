@@ -1,11 +1,11 @@
-// Adaptive validation engine: the machinery that turns per-read revalidation cost
-// from a fixed property of a TM family into a runtime choice.
+// Validation strategies: the machinery that cuts per-read revalidation cost.
 //
 // The paper's local-clock and value-based variants pay O(read-set) revalidation on
 // every read to preserve opacity (§4.1, Figure 5) — the cost behind the Figs 7–9
-// crossovers. No single remedy wins across workloads, so engines that opt in switch
-// at runtime between three strategies, driven by the descriptor's abort-rate EWMA
-// (txdesc.h):
+// crossovers. No single remedy wins across workloads, so each family names, at
+// compile time, the ValStrategy its readers run (its template argument,
+// variants.h); only kAdaptive switches at runtime, per attempt, driven by the
+// descriptor's abort-rate EWMA (txdesc.h):
 //
 //   kCounterSkip — NOrec's precise-counter skip: a domain-wide commit counter that
 //     every writer bumps while holding its locks, before its releasing stores.
@@ -27,9 +27,9 @@
 //     reliance. The fallback when contention is high enough that summaries rarely
 //     help and the walk happens anyway.
 //
-//   kStripe (partitioned NOrec, ValMode::kPartitioned) — the commit counter is
-//     SHARDED into kCounterStripes cache-line-separated per-stripe counters keyed
-//     by the metadata word's address region: a committing writer bumps only the
+//   kStripe (partitioned NOrec) — the commit counter is SHARDED into
+//     kCounterStripes cache-line-separated per-stripe counters keyed by the
+//     metadata word's address region: a committing writer bumps only the
 //     stripes its write set touches, and a reader's skip test compares a
 //     per-stripe sample vector against only the stripes its read set occupies.
 //     Disjoint-stripe write traffic no longer invalidates the reader's anchor at
@@ -40,15 +40,15 @@
 //     per-stripe soundness argument (anchor re-derivation, crossing committers)
 //     lives in docs/VALIDATION.md.
 //
-// Strategy choice (kAdaptive) is re-evaluated from the EWMA at every transaction
-// start: low abort rate -> counter-skip, moderate -> bloom, high -> incremental.
-// The band edges are HYSTERETIC (an enter/exit dead band): moving to a more
-// conservative strategy uses the enter threshold, moving back requires the EWMA
-// to fall through a lower exit threshold, so a border workload whose EWMA
-// wiggles around one edge no longer alternates strategies on every outcome.
-// Fixed modes exist for ablation benches (bench/abl_adaptive_val) so the
-// adaptive engine can be measured against every fixed point it switches
-// between.
+//   kAdaptive — re-chooses among kCounterSkip, kBloom and kIncremental from the
+//     EWMA at every transaction start: low abort rate -> counter-skip, moderate
+//     -> bloom, high -> incremental. The band edges are HYSTERETIC (an
+//     enter/exit dead band): moving to a more conservative strategy uses the
+//     enter threshold, moving back requires the EWMA to fall through a lower
+//     exit threshold, so a border workload whose EWMA wiggles around one edge
+//     no longer alternates strategies on every outcome. The fixed strategies
+//     are the points it switches between, measured against it in
+//     bench/abl_adaptive_val; it never picks kStripe.
 //
 // Soundness of the skip paths (NOrec discipline, extended with blooms):
 //   * Writer protocol: acquire ALL commit locks, bump-and-publish, validate (or
@@ -101,38 +101,23 @@
 
 namespace spectm {
 
-// Per-family validation mode: the reader-side strategy StrategyState runs over
-// the family's writer summary. kPassive is the always-walk baseline; an orec
-// family in it keeps no summary at all (its Summary is the null
+// The reader-side validation strategy a family runs over its writer summary,
+// fixed per family at compile time (its template argument, variants.h).
+// kIncremental is the always-walk baseline: its Summary is the null
 // NonReuseValidation below, so StrategyState and PublishWriterCommit compile
-// to nothing). The rest consult the summary as described above. MVCC snapshot
-// reads are not a mode: a kMvcc policy (val_word.h) selects them, and its
-// read-write side runs whichever mode the family names.
-enum class ValMode : std::uint8_t {
-  kPassive,
+// to nothing. kCounterSkip, kBloom and kStripe consult the summary as described
+// above. kAdaptive is the one runtime choice: each attempt starts with the
+// kIncremental, kCounterSkip or kBloom that ChooseStrategy picks from the
+// descriptor's EWMAs, never kStripe. MVCC snapshot reads are not a strategy: a
+// kMvcc policy (val_word.h) selects them, and its read-write side runs whichever
+// strategy the family names.
+enum class ValStrategy : std::uint8_t {
+  kIncremental,
   kCounterSkip,
   kBloom,
+  kStripe,
   kAdaptive,
-  kPartitioned,
 };
-
-// The strategy a transaction attempt actually runs with (kAdaptive resolves to one
-// of these at Start(); kStripe is the partitioned-NOrec per-stripe skip).
-enum class ValStrategy : std::uint8_t { kIncremental, kCounterSkip, kBloom, kStripe };
-
-inline const char* ValStrategyName(ValStrategy s) {
-  switch (s) {
-    case ValStrategy::kIncremental:
-      return "incremental";
-    case ValStrategy::kCounterSkip:
-      return "counter-skip";
-    case ValStrategy::kBloom:
-      return "bloom";
-    case ValStrategy::kStripe:
-      return "partitioned";
-  }
-  return "?";
-}
 
 // EWMA thresholds for the adaptive choice, Q16 (65536 = 100% abort rate).
 //   < ~3%  aborts: contention is rare; the bare counter skip almost always fires
@@ -171,63 +156,42 @@ static_assert(kSkipEwmaMinQ16 < kSkipEwmaRecoverQ16,
 // strategy anyway to notice when the workload turns quiet again.
 inline constexpr std::uint32_t kSkipProbePeriod = 16;
 
-// Strategy choice for a new attempt. Without history (`has_prev` false) the
-// plain enter thresholds apply — the memoryless mapping the band tests pin.
+// The adaptive strategy for a new attempt. Without history (`has_prev` false)
+// the plain enter thresholds apply — the memoryless mapping the band tests pin.
 // With history, the previous attempt's strategy supplies the hysteresis state:
 // moving toward incremental needs the enter edge, moving back the exit edge.
-// kPartitioned is a fixed mode resolving to kStripe; StrategyState clamps it to
-// kCounterSkip at compile time when the family's summary has no stripe counters.
-inline ValStrategy ChooseStrategy(ValMode mode, bool has_bloom_ring,
-                                  std::uint32_t abort_ewma_q16,
+// Only kAdaptive families call it, and their summaries always carry a ring, so
+// the mid band is always bloom.
+inline ValStrategy ChooseStrategy(std::uint32_t abort_ewma_q16,
                                   std::uint32_t skip_ewma_q16 = 65536u,
                                   bool has_prev = false,
                                   ValStrategy prev = ValStrategy::kIncremental) {
-  switch (mode) {
-    case ValMode::kPassive:
-      return ValStrategy::kIncremental;
-    case ValMode::kCounterSkip:
-      return ValStrategy::kCounterSkip;
-    case ValMode::kBloom:
-      return has_bloom_ring ? ValStrategy::kBloom : ValStrategy::kCounterSkip;
-    case ValMode::kPartitioned:
-      return ValStrategy::kStripe;
-    case ValMode::kAdaptive: {
-      // Efficacy gate: once the engine fell back to walking, skips must prove
-      // themselves through the recover threshold before they are paid for again.
-      const bool was_walking = has_prev && prev == ValStrategy::kIncremental;
-      if (skip_ewma_q16 < (was_walking ? kSkipEwmaRecoverQ16 : kSkipEwmaMinQ16)) {
-        return ValStrategy::kIncremental;  // skips are not paying for themselves
-      }
-      // Abort-pressure level: 0 = counter-skip, 1 = bloom, 2 = incremental.
-      // Rise through enter thresholds, fall through exit thresholds, stick in
-      // between. A fresh descriptor starts at level 0, which reproduces the old
-      // memoryless bands exactly.
-      int level = !has_prev || prev == ValStrategy::kCounterSkip ||
-                          prev == ValStrategy::kStripe
-                      ? 0
-                      : prev == ValStrategy::kBloom ? 1 : 2;
-      if (abort_ewma_q16 >= kEwmaBloomMaxQ16) {
-        level = 2;
-      } else if (abort_ewma_q16 >= kEwmaCounterSkipMaxQ16 && level < 1) {
-        level = 1;
-      }
-      if (abort_ewma_q16 < kEwmaCounterSkipExitQ16) {
-        level = 0;
-      } else if (abort_ewma_q16 < kEwmaBloomExitQ16 && level > 1) {
-        level = 1;
-      }
-      if (level == 0) {
-        return ValStrategy::kCounterSkip;
-      }
-      if (level == 1) {
-        // Mid band: bloom where a ring exists, otherwise the counter skip still
-        // beats walking (it is one shared load).
-        return has_bloom_ring ? ValStrategy::kBloom : ValStrategy::kCounterSkip;
-      }
-      return ValStrategy::kIncremental;
-    }
+  // Efficacy gate: once the engine fell back to walking, skips must prove
+  // themselves through the recover threshold before they are paid for again.
+  const bool was_walking = has_prev && prev == ValStrategy::kIncremental;
+  if (skip_ewma_q16 < (was_walking ? kSkipEwmaRecoverQ16 : kSkipEwmaMinQ16)) {
+    return ValStrategy::kIncremental;  // skips are not paying for themselves
   }
-  return ValStrategy::kIncremental;
+  // Abort-pressure level: 0 = counter-skip, 1 = bloom, 2 = incremental. Rise
+  // through enter thresholds, fall through exit thresholds, stick in between.
+  // A fresh descriptor starts at level 0, which reproduces the memoryless bands
+  // exactly.
+  int level = !has_prev || prev == ValStrategy::kCounterSkip ? 0
+              : prev == ValStrategy::kBloom                  ? 1
+                                                             : 2;
+  if (abort_ewma_q16 >= kEwmaBloomMaxQ16) {
+    level = 2;
+  } else if (abort_ewma_q16 >= kEwmaCounterSkipMaxQ16 && level < 1) {
+    level = 1;
+  }
+  if (abort_ewma_q16 < kEwmaCounterSkipExitQ16) {
+    level = 0;
+  } else if (abort_ewma_q16 < kEwmaBloomExitQ16 && level > 1) {
+    level = 1;
+  }
+  return level == 0   ? ValStrategy::kCounterSkip
+         : level == 1 ? ValStrategy::kBloom
+                      : ValStrategy::kIncremental;
 }
 
 // 128-bit, 2-hash bloom signature space for transactional locations (a location's
@@ -447,7 +411,7 @@ class WriterRing {
 //
 // Summary concept (shared with the ValidationPolicy classes in val_word.h, so
 // StrategyState and PublishWriterCommit below can drive either):
-// Sample/Stable/BloomAdvance and the writer-side OnWriterCommit, plus
+// Sample/Stable and the writer-side OnWriterCommit, plus BloomAdvance and
 // CommitRangeDisjoint where kHasBloomRing is true.
 // `kPartitionedCounters` opts the DOMAIN into partitioned NOrec: per-stripe
 // commit counters alongside the precise global counter (which remains the ring
@@ -568,7 +532,7 @@ struct WriterSummary {
 
 // The null writer summary. Case-3 reliance (§2.4): no tracking at all, sound
 // when values satisfy non-re-use (or one of the other two special cases); the
-// paper's default for val-short. It is also the Summary of every kPassive orec
+// paper's default for val-short. It is also the Summary of every kIncremental orec
 // family, whose readers rely on orec versions alone. Its pseudo-counter is
 // trivially stable and proves nothing, so kPrecise is false: StrategyState
 // consults nothing and PublishWriterCommit publishes nothing (no
@@ -583,15 +547,16 @@ struct NonReuseValidation {
   static bool Stable(Word /*sample*/) { return true; }
 };
 
-// The writer summary of an orec domain in mode kMode: the null summary under
-// kPassive, else the domain's WriterSummary, with per-stripe counters only
-// under kPartitioned — they are a domain-wide writer protocol only that mode
-// pays for (WriterSummary's kPartitionedCounters note). Full and short
-// engines of one family name the same type, so they agree on the protocol.
-template <typename DomainTag, ValMode kMode>
+// The writer summary of an orec domain whose readers run kStrategy: the null
+// summary under kIncremental, else the domain's WriterSummary, with per-stripe
+// counters only under kStripe — they are a domain-wide writer protocol only
+// that strategy pays for (WriterSummary's kPartitionedCounters note). Full and
+// short engines of one family name the same type, so they agree on the
+// protocol.
+template <typename DomainTag, ValStrategy kStrategy>
 using OrecSummary =
-    std::conditional_t<kMode == ValMode::kPassive, NonReuseValidation,
-                       WriterSummary<DomainTag, kMode == ValMode::kPartitioned>>;
+    std::conditional_t<kStrategy == ValStrategy::kIncremental, NonReuseValidation,
+                       WriterSummary<DomainTag, kStrategy == ValStrategy::kStripe>>;
 
 // Health watchdog attempt-start feed (no-op unless SPECTM_HEALTH): refreshes
 // the domain's ring-saturation gauge from this thread's ring intersect
@@ -614,7 +579,7 @@ struct ValProbe {
     std::uint64_t counter_skips = 0;      // walks avoided by a stable counter
     std::uint64_t bloom_skips = 0;        // walks avoided by ring disjointness
     std::uint64_t validation_walks = 0;   // full read-set walks performed
-    std::uint64_t strategy_switches = 0;  // attempts started with a new strategy
+    std::uint64_t strategy_switches = 0;  // adaptive strategy transitions
     std::uint64_t summary_publishes = 0;  // commits that bumped a shared counter
     // Partitioned-NOrec evidence: walks avoided because every READ-occupied
     // stripe counter was stable; writer-side per-stripe counter bumps; and walks
@@ -637,32 +602,23 @@ struct ValProbe {
     std::uint64_t version_hops = 0;
     std::uint64_t versions_retired = 0;
     std::uint64_t chain_splices = 0;
-    // Not counters: the strategy the last attempt started with (for tests) and
-    // the attempt tick driving the periodic skip-efficacy probe.
+    // Not counters: kAdaptive's memory. The strategy the last adaptive attempt
+    // started with (for tests), the attempt tick driving the periodic
+    // skip-efficacy probe, and the hysteresis state for ChooseStrategy: the
+    // last UN-probed adaptive choice (the kSkipProbePeriod override must not
+    // masquerade as a recovered skip phase, or incremental-with-probing would
+    // flap once per probe period). Fixed-strategy attempts never touch them,
+    // so families sharing a probe (the val families) cannot disturb it.
     ValStrategy last_strategy = ValStrategy::kIncremental;
+    ValStrategy steady_strategy = ValStrategy::kIncremental;
     bool has_strategy = false;
     std::uint32_t attempt_tick = 0;
-    // Hysteresis memory for ChooseStrategy: the last UN-probed adaptive choice
-    // (the kSkipProbePeriod override must not masquerade as a recovered skip
-    // phase, or incremental-with-probing would flap once per probe period).
-    ValStrategy steady_strategy = ValStrategy::kIncremental;
-    bool has_steady = false;
   };
   static Counters& Get() {
     thread_local Counters counters;
     return counters;
   }
   static void Reset() { Get() = Counters{}; }
-
-  // Records the strategy chosen for a new attempt, counting transitions.
-  static void OnStrategyChosen(ValStrategy s) {
-    Counters& c = Get();
-    if (c.has_strategy && c.last_strategy != s) {
-      ++c.strategy_switches;
-    }
-    c.last_strategy = s;
-    c.has_strategy = true;
-  }
 };
 
 // The one commit-publication call: every writer path of every engine (full and
@@ -707,14 +663,17 @@ struct AnchorSnapshot {
 
 // Per-attempt strategy state, shared by all four engines (full/short x orec/val —
 // previously open-coded in each with small drift; the ROADMAP refactor item).
-// Owns the choose/probe-tick at attempt start, the persistent counter anchor
-// (global sample AND, for partitioned summaries, the per-stripe sample vector),
-// the read signature (read bloom + read-stripe mask), and the
+// Owns kAdaptive's choose/probe-tick at attempt start, the persistent counter
+// anchor (global sample AND, under kStripe, the per-stripe sample vector), the
+// read signature (read bloom + read-stripe mask), and the
 // counter/stripe/bloom/walk skip quartet with its efficacy-EWMA feedback.
 // SummaryT is anything satisfying the summary concept (WriterSummary, or a
-// ValidationPolicy from val_word.h); ProbeT is the family's ValProbe; kMode is
-// the family's ValMode. A summary that tracks nothing (!kPrecise) selects the
-// null specialization below, so engines call every member unconditionally.
+// ValidationPolicy from val_word.h); ProbeT is the family's ValProbe;
+// kStrategy is the family's ValStrategy. kIncremental selects the null
+// specialization below, so engines call every member unconditionally. The
+// stripe rung compiles only under kStripe, the ring rung only where a bloom
+// can be consulted, and the static_asserts reject every strategy/summary pair
+// whose rung would read state the summary's writers never publish.
 //
 // The read signature is LAZY. Engines never report individual reads; each skip
 // call instead receives the engine's read log as (size, addr_at), where
@@ -739,38 +698,45 @@ struct AnchorSnapshot {
 // so it invalidates the stripe anchor until the next full walk. Mutating members
 // are mutable + const because engines call the skip paths from const validation
 // paths (short_tm's ValidateRo).
-template <typename SummaryT, typename ProbeT, ValMode kMode,
-          bool kTracks = SummaryT::kPrecise>
+template <typename SummaryT, typename ProbeT, ValStrategy kStrategy>
 class StrategyState {
+  static_assert(SummaryT::kPrecise,
+                "only a precise summary proves anything when its counter holds "
+                "still; a summary that tracks nothing pairs with kIncremental");
+  static_assert(kStrategy == ValStrategy::kCounterSkip || SummaryT::kHasBloomRing,
+                "kBloom, kStripe and kAdaptive fall back to the writer ring");
+  static_assert(kStrategy != ValStrategy::kStripe || SummaryT::kPartitioned,
+                "kStripe reads per-stripe counters its writers must bump");
+  static constexpr bool kStripes = kStrategy == ValStrategy::kStripe;
+  static constexpr bool kRing = kStrategy != ValStrategy::kCounterSkip;
+
  public:
   using Snapshot = AnchorSnapshot;
 
-  // Re-arms for a fresh attempt: pick the strategy from the descriptor EWMAs
-  // (hysteretic band edges keyed off the thread's previous steady choice, with
-  // the periodic skip-efficacy probe under kAdaptive), reset the read signature
-  // and its fold cursor (the caller has just emptied its read log), and anchor
-  // the persistent sample BEFORE any read (the skip soundness argument needs
-  // the anchor drawn no later than the first read).
-  void StartAttempt(const TxStats& stats) {
-    typename ProbeT::Counters& probe = ProbeT::Get();
-    strat_ = ChooseStrategy(kMode, SummaryT::kHasBloomRing, AbortEwmaQ16(stats),
-                            SkipEwmaQ16(stats), probe.has_steady,
-                            probe.steady_strategy);
-    if constexpr (!SummaryT::kPartitioned) {
-      if (strat_ == ValStrategy::kStripe) {
-        strat_ = ValStrategy::kCounterSkip;  // summary shards nothing: whole counter
+  // Re-arms for a fresh attempt: under kAdaptive, pick the strategy from the
+  // descriptor EWMAs (hysteretic band edges keyed off the thread's previous
+  // steady choice, with the periodic skip-efficacy probe); reset the read
+  // signature and its fold cursor (the caller has just emptied its read log);
+  // and anchor the persistent sample BEFORE any read (the skip soundness
+  // argument needs the anchor drawn no later than the first read).
+  void StartAttempt([[maybe_unused]] const TxStats& stats) {
+    if constexpr (kStrategy == ValStrategy::kAdaptive) {
+      typename ProbeT::Counters& probe = ProbeT::Get();
+      strat_ = ChooseStrategy(AbortEwmaQ16(stats), SkipEwmaQ16(stats),
+                              probe.has_strategy, probe.steady_strategy);
+      // The hysteresis memory records the steady choice BEFORE the probe
+      // override (see ValProbe::Counters::steady_strategy).
+      probe.steady_strategy = strat_;
+      if (strat_ == ValStrategy::kIncremental &&
+          ++probe.attempt_tick % kSkipProbePeriod == 0) {
+        strat_ = ValStrategy::kCounterSkip;  // efficacy probe (see kSkipProbePeriod)
       }
+      if (probe.has_strategy && probe.last_strategy != strat_) {
+        ++probe.strategy_switches;
+      }
+      probe.last_strategy = strat_;
+      probe.has_strategy = true;
     }
-    // The hysteresis memory records the steady choice BEFORE the probe override:
-    // a probe attempt must not masquerade as a recovered skip phase, or
-    // incremental-with-probing would flap once per probe period.
-    probe.steady_strategy = strat_;
-    probe.has_steady = true;
-    if (kMode == ValMode::kAdaptive && strat_ == ValStrategy::kIncremental &&
-        ++probe.attempt_tick % kSkipProbePeriod == 0) {
-      strat_ = ValStrategy::kCounterSkip;  // efficacy probe (see kSkipProbePeriod)
-    }
-    ProbeT::OnStrategyChosen(strat_);
     read_bloom_ = Bloom128{};
     read_stripe_mask_ = 0;
     folded_ = 0;
@@ -784,7 +750,7 @@ class StrategyState {
   // whole log, tail included (tail rule, atop this file).
   static std::size_t PerReadWalkLength(std::size_t log_size) { return log_size; }
 
-  // The skip paths, cheapest first: stable global counter, then (partitioned)
+  // The skip paths, cheapest first: stable global counter, then (kStripe)
   // stable READ-occupied stripes, then ring disjointness; true means the walk
   // was skipped, false that the caller must walk. The stripe
   // test is consulted before the ring on purpose: a vector compare against
@@ -798,47 +764,35 @@ class StrategyState {
   template <typename AddrAt>
   bool TrySkipRead(TxStats* ewma_stats, std::size_t log_size,
                    const AddrAt& addr_at) const {
-    const bool skippable =
-        strat_ != ValStrategy::kIncremental && sample_valid_;
-    if (skippable && SummaryT::Stable(sample_)) {
-      ++ProbeT::Get().counter_skips;
-      if (ewma_stats != nullptr) {
-        UpdateSkipEwma(*ewma_stats, /*skipped=*/true);
-      }
-      return true;
+    const ValStrategy strat = strategy();
+    if (strat == ValStrategy::kIncremental) {
+      return false;  // an adaptive attempt that walks regardless
     }
-    if (skippable) {
+    if (sample_valid_) {
+      if (SummaryT::Stable(sample_)) {
+        return Skipped(ProbeT::Get().counter_skips, ewma_stats);
+      }
       FoldSignature(log_size, addr_at);
-    }
-    if constexpr (SummaryT::kPartitioned) {
-      if (skippable && strat_ == ValStrategy::kStripe && stripe_valid_ &&
-          StripesUnchanged()) {
-        ++ProbeT::Get().stripe_skips;
-        if (ewma_stats != nullptr) {
-          UpdateSkipEwma(*ewma_stats, /*skipped=*/true);
+      if constexpr (kStripes) {
+        if (stripe_valid_ && StripesUnchanged()) {
+          return Skipped(ProbeT::Get().stripe_skips, ewma_stats);
         }
-        return true;
+      }
+      if constexpr (kRing) {
+        if (strat != ValStrategy::kCounterSkip &&
+            SummaryT::BloomAdvance(&sample_, read_bloom_)) {
+          // Only the GLOBAL anchor advanced: the commits the ring proved
+          // disjoint bumped stripes the ring does not name, so the stripe
+          // vector is stale until a full walk (or fresh attempt) re-anchors it.
+          stripe_valid_ = false;
+          return Skipped(ProbeT::Get().bloom_skips, ewma_stats);
+        }
       }
     }
-    if (skippable &&
-        (strat_ == ValStrategy::kBloom || strat_ == ValStrategy::kStripe) &&
-        SummaryT::BloomAdvance(&sample_, read_bloom_)) {
-      // Only the GLOBAL anchor advanced: the commits the ring proved disjoint
-      // bumped stripes the ring does not name, so the stripe vector is stale
-      // until a full walk (or fresh attempt) re-anchors it.
-      if constexpr (SummaryT::kPartitioned) {
-        stripe_valid_ = false;
-      }
-      ++ProbeT::Get().bloom_skips;
-      if (ewma_stats != nullptr) {
-        UpdateSkipEwma(*ewma_stats, /*skipped=*/true);
-      }
-      return true;
-    }
-    if (strat_ != ValStrategy::kIncremental && ewma_stats != nullptr) {
+    if (ewma_stats != nullptr) {
       UpdateSkipEwma(*ewma_stats, /*skipped=*/false);
     }
-    if (strat_ == ValStrategy::kStripe) {
+    if (kStripes) {
       ++ProbeT::Get().cross_stripe_walks;  // same-stripe traffic beat every skip
     }
     return false;
@@ -849,17 +803,18 @@ class StrategyState {
   // writer's own commit index, or 0 for policies without one (per-thread counter
   // sums), which fall back to the fresh-sample test — sums count every bump, so
   // anchor+1 still means "exactly my own". `write_stripe_mask` is the stripe
-  // mask of this writer's published WriteSignature; the partitioned arm expects
+  // mask of this writer's published WriteSignature; the kStripe arm expects
   // each READ-occupied stripe at anchor + own contribution, so a foreign bump of any
   // stripe guarding a logged location before this writer's own bump is caught,
   // and writers bumping those stripes afterwards validate against this writer's
   // already-visible locks (the per-stripe crossing-committer argument,
-  // docs/VALIDATION.md). The bloom arm exists only where the summary has a ring.
+  // docs/VALIDATION.md). The bloom arm exists only where a bloom is consulted.
   // `log_size`/`addr_at` view the read log, as for TrySkipRead.
   template <typename AddrAt>
   bool TrySkipCommit(Word own_idx, unsigned write_stripe_mask,
                      std::size_t log_size, const AddrAt& addr_at) const {
-    if (strat_ == ValStrategy::kIncremental || !sample_valid_) {
+    const ValStrategy strat = strategy();
+    if (strat == ValStrategy::kIncremental || !sample_valid_) {
       return false;
     }
     const bool counter_ok = own_idx != 0
@@ -870,16 +825,14 @@ class StrategyState {
       return true;
     }
     FoldSignature(log_size, addr_at);
-    if constexpr (SummaryT::kPartitioned) {
-      if (strat_ == ValStrategy::kStripe && stripe_valid_ &&
-          StripesUnchangedWithOwn(write_stripe_mask)) {
+    if constexpr (kStripes) {
+      if (stripe_valid_ && StripesUnchangedWithOwn(write_stripe_mask)) {
         ++ProbeT::Get().stripe_skips;
         return true;
       }
     }
-    if constexpr (SummaryT::kHasBloomRing) {
-      if ((strat_ == ValStrategy::kBloom || strat_ == ValStrategy::kStripe) &&
-          own_idx != 0 &&
+    if constexpr (kRing) {
+      if (strat != ValStrategy::kCounterSkip && own_idx != 0 &&
           SummaryT::CommitRangeDisjoint(sample_, own_idx, read_bloom_)) {
         ++ProbeT::Get().bloom_skips;
         return true;
@@ -889,14 +842,13 @@ class StrategyState {
   }
 
   // Snapshot for tracked walks and the val engines' stability loops: global
-  // sample first, then the stripe vector (see Snapshot for why this order).
+  // sample first, then (kStripe) the stripe vector (see Snapshot for why this
+  // order).
   Snapshot DrawSnapshot() const {
     Snapshot snap;
     snap.global = SummaryT::Sample();
-    if constexpr (SummaryT::kPartitioned) {
-      if (strat_ == ValStrategy::kStripe) {  // see Anchor(): nobody else reads it
-        snap.stripes = SummaryT::StripeSampleNow();
-      }
+    if constexpr (kStripes) {
+      snap.stripes = SummaryT::StripeSampleNow();
     }
     return snap;
   }
@@ -912,19 +864,10 @@ class StrategyState {
   // are invalidated, so later skips walk until a quiet window re-anchors.
   void ConfirmAnchorAfterWalk(const Snapshot& pre_walk) const {
     if (SummaryT::Stable(pre_walk.global)) {
-      sample_ = pre_walk.global;
-      sample_valid_ = true;
-      if constexpr (SummaryT::kPartitioned) {
-        if (strat_ == ValStrategy::kStripe) {
-          stripe_sample_ = pre_walk.stripes;
-          stripe_valid_ = true;
-        }
-      }
+      ReanchorStable(pre_walk);
     } else {
       sample_valid_ = false;
-      if constexpr (SummaryT::kPartitioned) {
-        stripe_valid_ = false;
-      }
+      stripe_valid_ = false;
     }
   }
 
@@ -934,44 +877,45 @@ class StrategyState {
   void ReanchorStable(const Snapshot& stable) const {
     sample_ = stable.global;
     sample_valid_ = true;
-    if constexpr (SummaryT::kPartitioned) {
-      if (strat_ == ValStrategy::kStripe) {
-        stripe_sample_ = stable.stripes;
-        stripe_valid_ = true;
-      }
+    if constexpr (kStripes) {
+      stripe_sample_ = stable.stripes;
+      stripe_valid_ = true;
     }
   }
 
  private:
-  void Anchor() const {
-    sample_ = SummaryT::Sample();
-    sample_valid_ = true;
-    if constexpr (SummaryT::kPartitioned) {
-      // The stripe vector costs kCounterStripes extra seq-cst loads; only the
-      // kStripe strategy ever consults it, so other strategies skip the draw.
-      if (strat_ == ValStrategy::kStripe) {
-        stripe_sample_ = SummaryT::StripeSampleNow();
-        stripe_valid_ = true;
-      } else {
-        stripe_valid_ = false;
-      }
-    }
+  // The strategy this attempt runs: the family's own, or kAdaptive's choice.
+  ValStrategy strategy() const {
+    return kStrategy == ValStrategy::kAdaptive ? strat_ : kStrategy;
   }
 
+  // Counts a walk avoided by one rung and feeds the efficacy EWMA a hit.
+  static bool Skipped(std::uint64_t& rung_skips, TxStats* ewma_stats) {
+    ++rung_skips;
+    if (ewma_stats != nullptr) {
+      UpdateSkipEwma(*ewma_stats, /*skipped=*/true);
+    }
+    return true;
+  }
+
+  // The stripe vector costs kCounterStripes extra seq-cst loads; only kStripe
+  // consults it, so only kStripe draws it (DrawSnapshot).
+  void Anchor() const { ReanchorStable(DrawSnapshot()); }
+
   // Brings the read signature up to the whole log: hashes entries
-  // [folded_, log_size) into the bloom (bloom/stripe strategies; the others never
-  // consult it) and, under kStripe, the stripe-occupancy mask. Logs only grow
+  // [folded_, log_size) into the bloom (the counter-skip strategy never
+  // consults it) and, under kStripe, the stripe-occupancy mask. Logs only grow
   // within an attempt, so a cursor past the log means a missed StartAttempt.
   template <typename AddrAt>
   void FoldSignature(std::size_t log_size, const AddrAt& addr_at) const {
     assert(folded_ <= log_size && "read log cleared without StartAttempt");
-    if (strat_ != ValStrategy::kBloom && strat_ != ValStrategy::kStripe) {
+    if (strategy() == ValStrategy::kCounterSkip) {
       return;
     }
     for (; folded_ < log_size; ++folded_) {
       const void* metadata_word = addr_at(folded_);
       read_bloom_ |= AddrBloom128(metadata_word);
-      if (strat_ == ValStrategy::kStripe) {
+      if (kStripes) {
         read_stripe_mask_ |= 1u << CounterStripeOf(metadata_word);
       }
     }
@@ -1014,19 +958,23 @@ class StrategyState {
   mutable Bloom128 read_bloom_;
   mutable unsigned read_stripe_mask_ = 0;
   mutable std::size_t folded_ = 0;  // read-log entries already in the signature
-  ValStrategy strat_ = ValStrategy::kIncremental;
+  ValStrategy strat_ = ValStrategy::kIncremental;  // kAdaptive's current choice
   mutable bool sample_valid_ = false;
   mutable bool stripe_valid_ = false;
 };
 
-// The null strategy state, for a summary that tracks nothing
+// The null strategy state, for kIncremental over a summary that tracks nothing
 // (NonReuseValidation: the passive orec families and the non-reuse val
 // families). There is no anchor to draw or confirm and no skip to try, so
 // every member is a no-op or a "must walk". Nothing is anchored on the
 // per-read walk, so it keeps the paper's prefix-only shape: the entry just
 // read is consistent at its own read instant and is left out.
-template <typename SummaryT, typename ProbeT, ValMode kMode>
-class StrategyState<SummaryT, ProbeT, kMode, false> {
+template <typename SummaryT, typename ProbeT>
+class StrategyState<SummaryT, ProbeT, ValStrategy::kIncremental> {
+  static_assert(!SummaryT::kPrecise,
+                "a precise summary's writers bump counters no kIncremental "
+                "reader consults; pair it with a skipping strategy");
+
  public:
   using Snapshot = AnchorSnapshot;
 

@@ -32,17 +32,18 @@ namespace spectm {
 namespace internal {
 
 template <typename Tag, template <typename> class LayoutTmpl,
-          template <typename> class ClockTmpl, ValMode kMode = ValMode::kPassive>
+          template <typename> class ClockTmpl,
+          ValStrategy kStrategy = ValStrategy::kIncremental>
 struct OrecBasedFamily {
   using DomainTag = Tag;
   using Layout = LayoutTmpl<Tag>;
   using Clock = ClockTmpl<Tag>;
-  using Full = FullTm<Layout, Clock, Tag, kMode>;
-  using Short = ShortTm<Layout, Clock, Tag, kMode>;
+  using Full = FullTm<Layout, Clock, Tag, kStrategy>;
+  using Short = ShortTm<Layout, Clock, Tag, kStrategy>;
   using Slot = typename Layout::Slot;
   using FullTx = typename Full::Tx;
   using ShortTx = typename Short::ShortTx;
-  static constexpr ValMode kValMode = kMode;
+  static constexpr ValStrategy kValStrategy = kStrategy;
 
   static Word SingleRead(Slot* s) { return Short::SingleRead(s); }
   static void SingleWrite(Slot* s, Word v) { Short::SingleWrite(s, v); }
@@ -60,7 +61,7 @@ struct OrecBasedFamily {
   }
 };
 
-template <typename ValidationT, ValMode kMode = ValMode::kCounterSkip>
+template <typename ValidationT, ValStrategy kStrategy>
 struct ValFamilyT {
   // All val families share one descriptor domain, commit counter and writer
   // ring, so they also share one SerialGate/CmProbe. Named here so generic code
@@ -70,12 +71,12 @@ struct ValFamilyT {
   // publishing the displaced version.
   using DomainTag = ValDomainTag;
   using Validation = ValidationT;
-  using Full = ValFullTm<ValidationT, kMode>;
-  using Short = ValShortTm<ValidationT, kMode>;
+  using Full = ValFullTm<ValidationT, kStrategy>;
+  using Short = ValShortTm<ValidationT, kStrategy>;
   using Slot = typename Full::Slot;
   using FullTx = typename Full::Tx;
   using ShortTx = typename Short::ShortTx;
-  static constexpr ValMode kValMode = kMode;
+  static constexpr ValStrategy kValStrategy = kStrategy;
 
   static Word SingleRead(Slot* s) { return Short::SingleRead(s); }
   static void SingleWrite(Slot* s, Word v) { Short::SingleWrite(s, v); }
@@ -125,7 +126,7 @@ using OrecLStriped =
 
 // Adaptive-validation ablations over the local-clock layout — the family whose
 // full-transaction reads pay the O(read-set) per-read revalidation the engine
-// exists to cut. OrecL itself (kPassive: no writer summary at all) is the
+// exists to cut. OrecL itself (kIncremental: no writer summary at all) is the
 // always-incremental baseline; the fixed strategies measure each mechanism in
 // isolation; the adaptive family switches between them per attempt from the
 // abort-rate EWMA. Swept in bench/abl_adaptive_val.
@@ -134,11 +135,12 @@ struct OrecLBloomTag {};
 struct OrecLAdaptTag {};
 using OrecLCounterSkip =
     internal::OrecBasedFamily<OrecLCounterTag, OrecLayout, LocalClockPolicy,
-                              ValMode::kCounterSkip>;
+                              ValStrategy::kCounterSkip>;
 using OrecLBloom = internal::OrecBasedFamily<OrecLBloomTag, OrecLayout,
-                                             LocalClockPolicy, ValMode::kBloom>;
-using OrecLAdaptive = internal::OrecBasedFamily<OrecLAdaptTag, OrecLayout,
-                                                LocalClockPolicy, ValMode::kAdaptive>;
+                                             LocalClockPolicy, ValStrategy::kBloom>;
+using OrecLAdaptive =
+    internal::OrecBasedFamily<OrecLAdaptTag, OrecLayout, LocalClockPolicy,
+                              ValStrategy::kAdaptive>;
 
 // Partitioned NOrec (valstrategy.h kStripe): the precise commit counter sharded
 // into per-address-region stripe counters — writers bump only the stripes their
@@ -150,14 +152,17 @@ using OrecLAdaptive = internal::OrecBasedFamily<OrecLAdaptTag, OrecLayout,
 // locality pays (see the counter-stripe note in valstrategy.h).
 struct OrecLPartTag {};
 using OrecLPart = internal::OrecBasedFamily<OrecLPartTag, OrecLayout,
-                                            LocalClockPolicy, ValMode::kPartitioned>;
+                                            LocalClockPolicy, ValStrategy::kStripe>;
 
 // 1-bit meta-data with value-based validation (Figure 3(c)); version-free by default
-// (relies on the paper's three special cases, §2.4), with counter-backed general
-// modes for code outside those cases.
-using Val = internal::ValFamilyT<NonReuseValidation>;
-using ValGlobalCounter = internal::ValFamilyT<GlobalCounterValidation>;
-using ValPerThreadCounter = internal::ValFamilyT<PerThreadCounterValidation>;
+// (relies on the paper's three special cases, §2.4, so its readers always walk),
+// with counter-backed general policies, whose readers run the NOrec counter
+// skip, for code outside those cases.
+using Val = internal::ValFamilyT<NonReuseValidation, ValStrategy::kIncremental>;
+using ValGlobalCounter =
+    internal::ValFamilyT<GlobalCounterValidation, ValStrategy::kCounterSkip>;
+using ValPerThreadCounter =
+    internal::ValFamilyT<PerThreadCounterValidation, ValStrategy::kCounterSkip>;
 
 // Validation-strategy ablations for the val layout, ALL over the bloom-publishing
 // counter policy (val_word.h) so every row of bench/abl_adaptive_val pays the
@@ -165,16 +170,17 @@ using ValPerThreadCounter = internal::ValFamilyT<PerThreadCounterValidation>;
 // reader strategy: fixed bloom and the EWMA-adaptive engine. ValGlobalCounter
 // above stays on the classic ring-less Dalessandro counter for the original
 // abl_val_validation comparison.
-using ValBloom = internal::ValFamilyT<GlobalCounterBloomValidation, ValMode::kBloom>;
+using ValBloom =
+    internal::ValFamilyT<GlobalCounterBloomValidation, ValStrategy::kBloom>;
 using ValAdaptive =
-    internal::ValFamilyT<GlobalCounterBloomValidation, ValMode::kAdaptive>;
+    internal::ValFamilyT<GlobalCounterBloomValidation, ValStrategy::kAdaptive>;
 // Partitioned NOrec over the val layout: metadata IS the data word (§2.4), so the
 // address-region counter stripes inherit the structure's locality — a btree
 // leaf-chain scan occupies few stripes however many ENTRIES it logs, which is
 // exactly where the fixed-width ring bloom saturates (abl_readset_layout's
 // 256-entry intersect-failure row, the ROADMAP item this family closes).
 using ValPart =
-    internal::ValFamilyT<GlobalCounterBloomValidation, ValMode::kPartitioned>;
+    internal::ValFamilyT<GlobalCounterBloomValidation, ValStrategy::kStripe>;
 // MVCC snapshot reads (mvcc.h): the one family whose read-only transactions
 // validate NOTHING — each read is a single traversal of the slot's bounded
 // version chain at a stamp pinned at start, so RO work can neither walk nor
@@ -183,7 +189,7 @@ using ValPart =
 // chains at commit. SnapshotValidation is GlobalCounterBloomValidation plus
 // the kMvcc marker, which alone selects the snapshot session
 // (mvcc::SnapshotSession); the commit counter doubles as the version clock.
-using ValSnap = internal::ValFamilyT<SnapshotValidation, ValMode::kPartitioned>;
+using ValSnap = internal::ValFamilyT<SnapshotValidation, ValStrategy::kStripe>;
 
 // Service-facing aliases (src/svc): the four engine configurations the KV
 // service scenario instantiates over, named by the role they play there rather

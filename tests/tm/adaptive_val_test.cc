@@ -55,40 +55,54 @@ TEST(AbortEwma, SingleAbortDoesNotFlipTheStrategy) {
   EXPECT_LT(AbortEwmaQ16(stats), kEwmaBloomMaxQ16);
 }
 
-TEST(ChooseStrategy, FixedModesIgnoreTheEwma) {
-  for (const std::uint32_t ewma : {0u, 10000u, 65535u}) {
-    EXPECT_EQ(ChooseStrategy(ValMode::kPassive, true, ewma), ValStrategy::kIncremental);
-    EXPECT_EQ(ChooseStrategy(ValMode::kCounterSkip, true, ewma),
-              ValStrategy::kCounterSkip);
-    EXPECT_EQ(ChooseStrategy(ValMode::kBloom, true, ewma), ValStrategy::kBloom);
-  }
-}
-
-TEST(ChooseStrategy, AdaptiveBandsAndRingClamp) {
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, 0), ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, kEwmaCounterSkipMaxQ16 - 1),
-            ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, kEwmaCounterSkipMaxQ16),
-            ValStrategy::kBloom);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, kEwmaBloomMaxQ16 - 1),
-            ValStrategy::kBloom);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, kEwmaBloomMaxQ16),
-            ValStrategy::kIncremental);
-  // Without a bloom ring the middle band clamps to counter-skip, never bloom.
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, false, kEwmaCounterSkipMaxQ16),
-            ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kBloom, false, 0), ValStrategy::kCounterSkip);
+TEST(ChooseStrategy, AdaptiveBands) {
+  EXPECT_EQ(ChooseStrategy(0), ValStrategy::kCounterSkip);
+  EXPECT_EQ(ChooseStrategy(kEwmaCounterSkipMaxQ16 - 1), ValStrategy::kCounterSkip);
+  EXPECT_EQ(ChooseStrategy(kEwmaCounterSkipMaxQ16), ValStrategy::kBloom);
+  EXPECT_EQ(ChooseStrategy(kEwmaBloomMaxQ16 - 1), ValStrategy::kBloom);
+  EXPECT_EQ(ChooseStrategy(kEwmaBloomMaxQ16), ValStrategy::kIncremental);
 }
 
 TEST(ChooseStrategy, PoorSkipEfficacyFallsBackToIncremental) {
-  // When skips stopped paying for themselves, adaptive mode walks regardless of
-  // the abort band; fixed modes are unaffected.
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, 0, kSkipEwmaMinQ16 - 1),
-            ValStrategy::kIncremental);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, 0, kSkipEwmaMinQ16),
-            ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kCounterSkip, true, 0, 0),
-            ValStrategy::kCounterSkip);
+  // When skips stopped paying for themselves, the adaptive chooser walks
+  // regardless of the abort band.
+  EXPECT_EQ(ChooseStrategy(0, kSkipEwmaMinQ16 - 1), ValStrategy::kIncremental);
+  EXPECT_EQ(ChooseStrategy(0, kSkipEwmaMinQ16), ValStrategy::kCounterSkip);
+}
+
+// Fixed-strategy families run no chooser: with the abort EWMA at 100% and the
+// skip-efficacy EWMA at 0 — where the adaptive chooser would walk — a two-read
+// full transaction on a quiet domain still skips on the stable counter.
+template <typename F>
+class FixedStrategyIgnoresTheEwmas : public ::testing::Test {};
+using FixedPreciseFamilies =
+    ::testing::Types<OrecLCounterSkip, OrecLBloom, OrecLPart, ValGlobalCounter,
+                     ValPerThreadCounter, ValBloom, ValPart>;
+TYPED_TEST_SUITE(FixedStrategyIgnoresTheEwmas, FixedPreciseFamilies);
+
+TYPED_TEST(FixedStrategyIgnoresTheEwmas, QuietFullTxSkips) {
+  using F = TypeParam;
+  using Probe = typename F::Full::Probe;
+  static typename F::Slot a, b;
+  F::SingleWrite(&a, EncodeInt(1));
+  F::SingleWrite(&b, EncodeInt(2));
+  TxStats& stats = DescOf<typename F::DomainTag>().stats;
+  stats.abort_ewma_q16.store(65536u, std::memory_order_relaxed);
+  stats.skip_ewma_q16.store(0u, std::memory_order_relaxed);
+
+  Probe::Reset();
+  typename F::FullTx tx;
+  Word va = 0, vb = 0;
+  do {
+    tx.Start();
+    va = tx.Read(&a);
+    vb = tx.Read(&b);
+  } while (!tx.Commit());
+  EXPECT_EQ(DecodeInt(va), 1u);
+  EXPECT_EQ(DecodeInt(vb), 2u);
+  EXPECT_GE(Probe::Get().counter_skips, 1u);
+  EXPECT_EQ(Probe::Get().validation_walks, 0u)
+      << "a fixed strategy walked because of the descriptor's EWMAs";
 }
 
 // Stripe-wise complement: a bloom guaranteed disjoint from `b` with bits in
@@ -669,7 +683,7 @@ TEST(PartitionedSkip, StripeCountersShardTheBump) {
       orec_pool,
       [](OrecLPart::Slot& s) { return &OrecLPart::Layout::OrecOf(s); });
   static ValPart::Slot val_pool[1024];  // 8 KiB of slots: two 4 KiB stripes
-  ExpectEveryPathShardsTheBump<ValPart, GlobalCounterBloomValidation::Summary,
+  ExpectEveryPathShardsTheBump<ValPart, GlobalCounterBloomValidation,
                                ValProbe<ValDomainTag>>(
       val_pool, [](ValPart::Slot& s) { return &s.word; });
 }
@@ -1044,7 +1058,7 @@ void RunReadConsultCase(bool warm_fold) {
   const typename Probe::Counters& c = Probe::Get();
   EXPECT_FALSE(ok) << "the overwritten read of X went undetected";
   EXPECT_EQ(c.validation_walks, 1u) << "the consult on Y must walk";
-  if constexpr (F::kValMode == ValMode::kPartitioned) {
+  if constexpr (F::kValStrategy == ValStrategy::kStripe) {
     EXPECT_EQ(c.cross_stripe_walks, 1u);
     EXPECT_EQ(c.stripe_skips, warm_fold ? 1u : 0u);
     EXPECT_EQ(c.bloom_skips, 0u);
@@ -1183,25 +1197,25 @@ TEST(ChooseStrategy, AbortBandEdgesAreHysteretic) {
       (kEwmaCounterSkipExitQ16 + kEwmaCounterSkipMaxQ16) / 2;
   // Inside the counter-skip/bloom dead band the previous choice sticks — the
   // single-threshold design flipped here on every EWMA wiggle.
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, lower_band, 65536u,
+  EXPECT_EQ(ChooseStrategy(lower_band, 65536u,
                            /*has_prev=*/true, ValStrategy::kCounterSkip),
             ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, lower_band, 65536u,
+  EXPECT_EQ(ChooseStrategy(lower_band, 65536u,
                            /*has_prev=*/true, ValStrategy::kBloom),
             ValStrategy::kBloom);
   // Leaving through the exit edge flips back.
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, kEwmaCounterSkipExitQ16 - 1,
+  EXPECT_EQ(ChooseStrategy(kEwmaCounterSkipExitQ16 - 1,
                            65536u, /*has_prev=*/true, ValStrategy::kBloom),
             ValStrategy::kCounterSkip);
   // Upper (bloom/incremental) band behaves the same way.
   const std::uint32_t upper_band = (kEwmaBloomExitQ16 + kEwmaBloomMaxQ16) / 2;
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, upper_band, 65536u,
+  EXPECT_EQ(ChooseStrategy(upper_band, 65536u,
                            /*has_prev=*/true, ValStrategy::kIncremental),
             ValStrategy::kIncremental);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, upper_band, 65536u,
+  EXPECT_EQ(ChooseStrategy(upper_band, 65536u,
                            /*has_prev=*/true, ValStrategy::kBloom),
             ValStrategy::kBloom);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, kEwmaBloomExitQ16 - 1, 65536u,
+  EXPECT_EQ(ChooseStrategy(kEwmaBloomExitQ16 - 1, 65536u,
                            /*has_prev=*/true, ValStrategy::kIncremental),
             ValStrategy::kBloom);
 }
@@ -1209,14 +1223,14 @@ TEST(ChooseStrategy, AbortBandEdgesAreHysteretic) {
 TEST(ChooseStrategy, SkipEfficacyRecoveryIsHysteretic) {
   const std::uint32_t in_band = (kSkipEwmaMinQ16 + kSkipEwmaRecoverQ16) / 2;
   // A thread that fell back to walking needs the RECOVER threshold to resume...
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, 0, in_band,
+  EXPECT_EQ(ChooseStrategy(0, in_band,
                            /*has_prev=*/true, ValStrategy::kIncremental),
             ValStrategy::kIncremental);
   // ...while a thread still skipping keeps skipping at the same efficacy.
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, 0, in_band,
+  EXPECT_EQ(ChooseStrategy(0, in_band,
                            /*has_prev=*/true, ValStrategy::kCounterSkip),
             ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, 0, kSkipEwmaRecoverQ16,
+  EXPECT_EQ(ChooseStrategy(0, kSkipEwmaRecoverQ16,
                            /*has_prev=*/true, ValStrategy::kIncremental),
             ValStrategy::kCounterSkip);
 }
@@ -1272,6 +1286,47 @@ TEST(StrategyHysteresis, InBandEwmaWiggleDoesNotFlap) {
   }
   EXPECT_EQ(Probe::Get().last_strategy, ValStrategy::kCounterSkip);
   EXPECT_EQ(Probe::Get().strategy_switches, switches_before + 1);
+}
+
+// The val families share one ValProbe (ValDomainTag), so ValAdaptive's
+// hysteresis memory sits beside the attempts of every fixed-strategy val
+// family. Those attempts run no chooser and must leave the memory alone: a
+// ValPart attempt between two in-band ValAdaptive attempts may neither reset
+// the adaptive choice nor count a switch.
+TEST(StrategyHysteresis, FixedFamilyAttemptsLeaveTheAdaptiveMemoryAlone) {
+  using Probe = ValProbe<ValDomainTag>;
+  static ValAdaptive::Slot a;
+  static ValPart::Slot b;
+  ValAdaptive::SingleWrite(&a, EncodeInt(1));
+  ValPart::SingleWrite(&b, EncodeInt(2));
+  TxStats& stats = DescOf<ValDomainTag>().stats;
+  stats.skip_ewma_q16.store(65536u);  // isolate the abort-band signal
+  const auto adaptive_attempt = [&] {
+    ValAdaptive::ShortTx tx;
+    tx.ReadRo(&a);  // pure-RO attempt: its Abort() leaves the EWMA untouched
+    tx.Abort();
+  };
+
+  // Enter the bloom band, then sit inside the lower dead band: bloom sticks.
+  stats.abort_ewma_q16.store(kEwmaCounterSkipMaxQ16, std::memory_order_relaxed);
+  adaptive_attempt();
+  ASSERT_EQ(Probe::Get().last_strategy, ValStrategy::kBloom);
+  stats.abort_ewma_q16.store((kEwmaCounterSkipExitQ16 + kEwmaCounterSkipMaxQ16) / 2,
+                             std::memory_order_relaxed);
+  adaptive_attempt();
+  ASSERT_EQ(Probe::Get().last_strategy, ValStrategy::kBloom);
+  const std::uint64_t switches_before = Probe::Get().strategy_switches;
+
+  {
+    ValPart::ShortTx tx;
+    tx.ReadRo(&b);
+    tx.Abort();
+  }
+  adaptive_attempt();
+  EXPECT_EQ(Probe::Get().last_strategy, ValStrategy::kBloom)
+      << "a fixed-strategy attempt reset the adaptive hysteresis memory";
+  EXPECT_EQ(Probe::Get().strategy_switches, switches_before)
+      << "no adaptive transition happened, so none may be counted";
 }
 
 }  // namespace
