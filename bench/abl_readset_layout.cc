@@ -13,9 +13,6 @@
 //     size per transaction: chains of ~2 barely validate, chains of ~32 walk
 //     read sets long enough for both the batch kernel and table locality to
 //     matter.
-//   * WriteSet bloom — every cell reports the wset_bloom_misses delta: the
-//     read-after-write lookups (one per transactional read) absorbed by the
-//     descriptor-resident filter without a hash probe.
 //
 // Ring-saturation rows (the ROADMAP item): btree range scans over the
 // bloom-strategy local-clock family, swept scan width, against concurrent
@@ -55,18 +52,15 @@ namespace {
 constexpr std::uint64_t kKeyRange = 8192;
 constexpr int kChainLens[] = {2, 8, 32};
 constexpr int kScanWidths[] = {16, 64, 256};
-constexpr int kLookupPct = 90;  // read-dominant: the wset-bloom common case
+constexpr int kLookupPct = 90;  // read-dominant
 
 struct LayoutProbes {
   std::uint64_t simd_batches = 0;
   std::uint64_t scalar_checks = 0;
-  std::uint64_t wset_lookups = 0;
-  std::uint64_t wset_bloom_misses = 0;
 };
 
-// Deterministic single-threaded probe pass (ValProbe and the WriteSet stats are
-// thread-local/descriptor-resident, so the timed cell's worker counters are
-// unreachable): a read-heavy op mix over the same set shape, long enough that
+// Deterministic single-threaded probe pass (ValProbe is thread-local, so the
+// timed cell's worker counters are unreachable): a read-heavy op mix over the same set shape, long enough that
 // multi-entry read logs hit the batch kernel.
 template <typename Family>
 LayoutProbes MeasureProbes(std::size_t buckets) {
@@ -77,7 +71,6 @@ LayoutProbes MeasureProbes(std::size_t buckets) {
     set.Insert(k);
   }
   const typename Probe::Counters before = Probe::Get();
-  const WriteSet::Stats wset_before = DescOf<typename Family::DomainTag>().wset.stats();
   for (int i = 0; i < 2048; ++i) {
     const std::uint64_t key = rng.NextBounded(kKeyRange);
     const std::uint64_t roll = rng.NextBounded(100);
@@ -90,12 +83,9 @@ LayoutProbes MeasureProbes(std::size_t buckets) {
     }
   }
   const typename Probe::Counters after = Probe::Get();
-  const WriteSet::Stats wset_after = DescOf<typename Family::DomainTag>().wset.stats();
   LayoutProbes p;
   p.simd_batches = after.simd_batches - before.simd_batches;
   p.scalar_checks = after.scalar_checks - before.scalar_checks;
-  p.wset_lookups = wset_after.lookups - wset_before.lookups;
-  p.wset_bloom_misses = wset_after.bloom_misses - wset_before.bloom_misses;
   return p;
 }
 
@@ -129,16 +119,13 @@ void RunChainCell(JsonReport& report, TextTable& table, const char* layout,
   r.chain_len = chain_len;
   r.simd_batches = probes.simd_batches;
   r.scalar_checks = probes.scalar_checks;
-  r.wset_bloom_misses = probes.wset_bloom_misses;
   report.Add(r);
 
   table.AddRow({std::string(layout) + "/" + r.simd, std::to_string(chain_len),
                 TextTable::Num(cell.ops_per_sec / 1e6, 3),
                 TextTable::Num(cell.abort_rate * 100.0, 2),
                 std::to_string(probes.simd_batches),
-                std::to_string(probes.scalar_checks),
-                std::to_string(probes.wset_bloom_misses) + "/" +
-                    std::to_string(probes.wset_lookups)});
+                std::to_string(probes.scalar_checks)});
 }
 
 // The metadata word governing a slot: the orec for orec layouts (hash-scattered
@@ -463,7 +450,7 @@ bool Run(const std::string& json_path) {
               "%d%% lookups, %d threads\n",
               static_cast<unsigned long long>(kKeyRange), kLookupPct, max_threads);
   TextTable chain_table({"layout/body", "chain", "Mops/s", "abort%",
-                         "simd-batches", "scalar-checks", "wset-bloom-miss"});
+                         "simd-batches", "scalar-checks"});
   for (const int chain : kChainLens) {
     for (const bool simd : {false, true}) {
       RunChainCell<OrecL>(report, chain_table, "hashed", simd, chain, max_threads);

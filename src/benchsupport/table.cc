@@ -140,7 +140,6 @@ std::string JsonReport::ToJson() const {
           << ", \"scan_width\": " << r.scan_width
           << ", \"simd_batches\": " << r.simd_batches
           << ", \"scalar_checks\": " << r.scalar_checks
-          << ", \"wset_bloom_misses\": " << r.wset_bloom_misses
           << ", \"ring_window_fails\": " << r.ring_window_fails
           << ", \"ring_stale_fails\": " << r.ring_stale_fails
           << ", \"ring_intersect_fails\": " << r.ring_intersect_fails;

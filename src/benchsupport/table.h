@@ -59,7 +59,6 @@ struct BenchRecord {
   int scan_width = 0;        // btree range-scan width (0 when n/a)
   std::uint64_t simd_batches = 0;       // ValProbe: 4-entry gather iterations
   std::uint64_t scalar_checks = 0;      // ValProbe: scalar-path entry checks
-  std::uint64_t wset_bloom_misses = 0;  // WriteSet: lookups killed by the bloom
   std::uint64_t ring_window_fails = 0;     // WriterRing: range wider than probe cap
   std::uint64_t ring_stale_fails = 0;      // WriterRing: unpublished/recycled tag
   std::uint64_t ring_intersect_fails = 0;  // WriterRing: bloom hit (saturation)

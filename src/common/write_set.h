@@ -46,14 +46,6 @@ class alignas(kCacheLineSize) WriteSet {
     std::uint64_t value;
   };
 
-  // Owner-read statistics (plain counters; the descriptor is thread-private).
-  // `bloom_misses` counts lookups rejected by the bloom alone — the fast path
-  // the abl_readset_layout bench reports as evidence.
-  struct Stats {
-    std::uint64_t lookups = 0;
-    std::uint64_t bloom_misses = 0;
-  };
-
   WriteSet() : mask_(kInitialSlots - 1), slots_(kInitialSlots) {}
 
   // Inserts or overwrites the buffered value for addr.
@@ -71,14 +63,16 @@ class alignas(kCacheLineSize) WriteSet {
     }
   }
 
-  // Returns true and fills *value if addr has a buffered write. The empty set is
-  // subsumed by the bloom test (bloom_ == 0 rejects everything), so callers need
-  // no separate Empty() pre-check on the read path.
-  bool Lookup(void* addr, std::uint64_t* value) const {
-    ++stats_.lookups;
+  // The bloom alone: false proves addr has no buffered write. The empty set's
+  // zero bloom rejects everything, so the read path needs no Empty() check.
+  bool MayContain(const void* addr) const {
     const std::uint64_t sig = AddrSignature(addr);
-    if ((bloom_ & sig) != sig) {
-      ++stats_.bloom_misses;
+    return (bloom_ & sig) == sig;
+  }
+
+  // Returns true and fills *value if addr has a buffered write. Writes nothing.
+  bool Lookup(void* addr, std::uint64_t* value) const {
+    if (!MayContain(addr)) {
       return false;
     }
     std::size_t slot = FindSlot(addr);
@@ -103,9 +97,6 @@ class alignas(kCacheLineSize) WriteSet {
 
   bool Empty() const { return entries_.empty(); }
   std::size_t Size() const { return entries_.size(); }
-
-  const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = Stats{}; }
 
   // Test hook for the generation-wrap hard reset (reaching 2^32 Clear() calls
   // organically would take hours): jumps the generation counter, invalidating
@@ -169,13 +160,10 @@ class alignas(kCacheLineSize) WriteSet {
     }
   }
 
-  // Hot header: everything a read-path miss touches — the bloom, the stats it
-  // bumps, and the generation — packed onto the leading line (the class is
-  // line-aligned). The stats stores therefore dirty only the owner-private line
-  // the miss path already owns exclusively; the slot/entry vectors follow.
+  // Hot header on the leading line (the class is line-aligned): the bloom, all
+  // a read-path miss touches, and the generation; the slot/entry vectors follow.
   std::uint64_t bloom_ = 0;
   std::uint32_t gen_ = 1;
-  mutable Stats stats_;
   std::size_t mask_;
   std::vector<Entry> entries_;
   mutable std::vector<Slot> slots_;

@@ -268,24 +268,26 @@ class KvStore {
   // doing balance arithmetic must pass distinct keys.
   template <typename Fn>
   void BatchTransact(const std::uint64_t* keys, std::size_t n, Fn fn) {
-    std::vector<std::uint64_t> vals(n, 0);
-    std::vector<Node*> nodes(n, nullptr);
+    std::uint64_t vals_inline[kInlineBatch];
+    Node* nodes_inline[kInlineBatch];
+    std::vector<std::uint64_t> vals_heap(n > kInlineBatch ? n : 0);
+    std::vector<Node*> nodes_heap(n > kInlineBatch ? n : 0);
+    std::uint64_t* vals = n > kInlineBatch ? vals_heap.data() : vals_inline;
+    Node** nodes = n > kInlineBatch ? nodes_heap.data() : nodes_inline;
+    std::vector<bool> found(n);
     Family::Full::Atomically([&](FullTx& tx) {
       for (std::size_t i = 0; i < n; ++i) {
         nodes[i] = FindNode(tx, keys[i]);
         if (!tx.ok()) {
           return;
         }
-        vals[i] = nodes[i] != nullptr ? DecodeInt(tx.Read(&nodes[i]->value)) : 0;
+        found[i] = nodes[i] != nullptr;
+        vals[i] = found[i] ? DecodeInt(tx.Read(&nodes[i]->value)) : 0;
         if (!tx.ok()) {
           return;
         }
       }
-      std::vector<bool> found(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        found[i] = nodes[i] != nullptr;
-      }
-      fn(vals.data(), found, n);
+      fn(vals, found, n);
       for (std::size_t i = 0; i < n; ++i) {
         if (nodes[i] != nullptr) {
           tx.Write(&nodes[i]->value, EncodeInt(vals[i]));
@@ -363,6 +365,8 @@ class KvStore {
   // Only SnapSlot (the kMvcc families) carries version chains to release.
   static constexpr bool kVersionedSlots = std::is_same_v<Slot, SnapSlot>;
   static constexpr std::size_t kSlotsPerChunk = StripePagePool::kPageBytes / sizeof(Slot);
+  // BatchTransact keeps this many keys' values and nodes on the stack.
+  static constexpr std::size_t kInlineBatch = 16;
 
   struct Node {
     std::uint64_t key = 0;

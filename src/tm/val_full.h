@@ -159,7 +159,7 @@ class ValFullTm {
       assert((value & kLockBit) == 0 && "val layout reserves bit 0 (use EncodeInt)");
       // Promotion (a snapshot attempt's first write): the snapshot values must
       // hold at the current clock before this attempt may buffer writes.
-      if (!snap_.Promote(desc_->val_read_log.Size(),
+      if (!snap_.Promote(desc_->val_read_log.Size(), state_, LoggedWords(),
                          [this] { return ValidateReads(); })) {
         Fail();
         return;

@@ -406,7 +406,8 @@ class ValShortTm {
     bool EnterGateForFirstLock() {
       // Write promotion (a snapshot attempt's first lock): bring the read log
       // to "now" before anything is locked.
-      if (!snap_.Promote(ro_.Size(), [this] { return ValidateRo(); })) {
+      if (!snap_.Promote(ro_.Size(), state_, LoggedWords(),
+                         [this] { return ValidateRo(); })) {
         valid_ = false;
         return false;
       }

@@ -261,8 +261,9 @@ class SnapshotSession {
   void Pin() {}
   void Unpin() {}
   static constexpr bool in_snapshot() { return false; }
-  template <typename Validate>
-  static bool Promote(std::size_t /*logged*/, const Validate& /*validate*/) {
+  template <typename State, typename AddrAt, typename Validate>
+  static bool Promote(std::size_t /*logged*/, const State& /*state*/,
+                      const AddrAt& /*addr_at*/, const Validate& /*validate*/) {
     return true;
   }
   template <typename Slot, typename State, typename Validate>
@@ -292,6 +293,7 @@ class SnapshotSession<Validation, Probe, true> {
     chain_guard_.Acquire(MvccEpoch());
     Repin();
     in_snapshot_ = true;
+    chain_served_ = false;
   }
 
   void Unpin() {
@@ -304,21 +306,25 @@ class SnapshotSession<Validation, Probe, true> {
   bool in_snapshot() const { return in_snapshot_; }
 
   // Write promotion, before the attempt's first lock: the `logged` values
-  // read at the snapshot become an ordinary read log, which the engine's walk
-  // (`validate`) must prove current at a stable clock point. A writer that
-  // committed over any of them since the snapshot fails it: the snapshot cut
-  // cannot extend to a write. Afterwards the family's read-write protocol
-  // governs the attempt, which reads no chain, so the registry pin goes at
-  // once: held to this attempt's own commit, it would make that commit (and
-  // every other writer's meanwhile) push versions no reader needs. The guard
-  // stays until Unpin. No-op once promoted.
-  template <typename Validate>
-  bool Promote(std::size_t logged, const Validate& validate) {
+  // read at the snapshot become an ordinary read log, proven current by
+  // `state`'s skip ladder (`addr_at` as for TrySkipRead) while no logged value
+  // came from a chain, else by the engine's walk (`validate`). A writer that
+  // committed over any of them since the snapshot fails both: the snapshot
+  // cut cannot extend to a write (docs/VALIDATION.md §10). The family's
+  // read-write protocol then governs the attempt, which reads no chain, so
+  // the registry pin goes at once: held to this attempt's own commit, it
+  // would make that commit (and every other writer's meanwhile) push versions
+  // no reader needs. The guard stays until Unpin. No-op once promoted.
+  template <typename State, typename AddrAt, typename Validate>
+  bool Promote(std::size_t logged, const State& state, const AddrAt& addr_at,
+               const Validate& validate) {
     if (!in_snapshot_) {
       return true;
     }
     ReleasePin();
-    return logged == 0 || validate();
+    return logged == 0 ||
+           (!chain_served_ && state.TrySkipRead(nullptr, logged, addr_at)) ||
+           validate();
   }
 
   // One snapshot-phase read: a single chain traversal at the pinned stamp —
@@ -335,6 +341,7 @@ class SnapshotSession<Validation, Probe, true> {
         typename Probe::Counters& probe = Probe::Get();
         ++probe.snapshot_reads;
         probe.version_hops += static_cast<std::uint64_t>(r.hops);
+        chain_served_ |= r.hops != 0;
         *value = r.value;
         return true;
       }
@@ -425,8 +432,9 @@ class SnapshotSession<Validation, Probe, true> {
     return true;
   }
 
-  Word snapshot_ts_ = 0;      // the pinned read stamp
-  bool in_snapshot_ = false;  // reads run through the chains; pin published
+  Word snapshot_ts_ = 0;       // the pinned read stamp
+  bool in_snapshot_ = false;   // reads run through the chains; pin published
+  bool chain_served_ = false;  // some logged value came from a version node
   EpochManager::GuardSlot chain_guard_;
 };
 

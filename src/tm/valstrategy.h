@@ -666,7 +666,7 @@ struct AnchorSnapshot {
 // Owns kAdaptive's choose/probe-tick at attempt start, the persistent counter
 // anchor (global sample AND, under kStripe, the per-stripe sample vector), the
 // read signature (read bloom + read-stripe mask), and the
-// counter/stripe/bloom/walk skip quartet with its efficacy-EWMA feedback.
+// counter/stripe/bloom/walk skip quartet with kAdaptive's efficacy feedback.
 // SummaryT is anything satisfying the summary concept (WriterSummary, or a
 // ValidationPolicy from val_word.h); ProbeT is the family's ValProbe;
 // kStrategy is the family's ValStrategy. kIncremental selects the null
@@ -757,10 +757,10 @@ class StrategyState {
   // private-ish lines beats scanning ring lanes, and it keeps working after the
   // read bloom has saturated the ring's filter. `log_size`/`addr_at` view the
   // caller's whole read log (see the class comment); the signature is folded
-  // from it only past the counter test. Updates the skip-efficacy EWMA when
-  // `ewma_stats` is non-null (per-read call sites feed the adaptive engine;
-  // final-validation call sites pass nullptr, matching the engines' historical
-  // behavior).
+  // from it only past the counter test. Only kAdaptive reads the skip-efficacy
+  // EWMA, so only kAdaptive feeds it, when `ewma_stats` is non-null (per-read
+  // call sites; final-validation and promotion sites pass nullptr): a fixed
+  // family moves no EWMA it shares with kAdaptive through the descriptor.
   template <typename AddrAt>
   bool TrySkipRead(TxStats* ewma_stats, std::size_t log_size,
                    const AddrAt& addr_at) const {
@@ -789,7 +789,7 @@ class StrategyState {
         }
       }
     }
-    if (ewma_stats != nullptr) {
+    if (kStrategy == ValStrategy::kAdaptive && ewma_stats != nullptr) {
       UpdateSkipEwma(*ewma_stats, /*skipped=*/false);
     }
     if (kStripes) {
@@ -889,10 +889,10 @@ class StrategyState {
     return kStrategy == ValStrategy::kAdaptive ? strat_ : kStrategy;
   }
 
-  // Counts a walk avoided by one rung and feeds the efficacy EWMA a hit.
+  // Counts a walk avoided by one rung and feeds kAdaptive's EWMA a hit.
   static bool Skipped(std::uint64_t& rung_skips, TxStats* ewma_stats) {
     ++rung_skips;
-    if (ewma_stats != nullptr) {
+    if (kStrategy == ValStrategy::kAdaptive && ewma_stats != nullptr) {
       UpdateSkipEwma(*ewma_stats, /*skipped=*/true);
     }
     return true;

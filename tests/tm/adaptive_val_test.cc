@@ -2,8 +2,9 @@
 // transitions, the writer-summary bloom ring, and the probe-verified hot-path
 // claims — counter skips firing on unchanged-counter RO reads (short and full
 // transactions, orec and val layouts), bloom skips rescuing stale counters when
-// the intervening write traffic is disjoint, and the lazy read signature being
-// folded at every site that consults it.
+// the intervening write traffic is disjoint, the lazy read signature being
+// folded at every site that consults it, and fixed-strategy families leaving
+// kAdaptive's shared inputs alone.
 #include "src/tm/valstrategy.h"
 
 #include <gtest/gtest.h>
@@ -1327,6 +1328,44 @@ TEST(StrategyHysteresis, FixedFamilyAttemptsLeaveTheAdaptiveMemoryAlone) {
       << "a fixed-strategy attempt reset the adaptive hysteresis memory";
   EXPECT_EQ(Probe::Get().strategy_switches, switches_before)
       << "no adaptive transition happened, so none may be counted";
+}
+
+// The skip-efficacy EWMA is kAdaptive's input, and it sits in the descriptor
+// every val family shares (DescOf<ValDomainTag>). A fixed family's per-read
+// skips must neither pay for updating it nor move it: a 3-read ValPart
+// transaction on a quiet domain skips twice and leaves it where it was. The
+// ValAdaptive twin shows the same transaction still feeds it.
+template <typename F>
+std::uint32_t SkipEwmaAfterQuietThreeReadTx() {
+  static typename F::Slot a, b, c;
+  F::SingleWrite(&a, EncodeInt(1));
+  F::SingleWrite(&b, EncodeInt(2));
+  F::SingleWrite(&c, EncodeInt(3));
+  TxStats& stats = DescOf<ValDomainTag>().stats;
+  stats.abort_ewma_q16.store(0u, std::memory_order_relaxed);  // counter-skip band
+  stats.skip_ewma_q16.store(30000u, std::memory_order_relaxed);
+  using Probe = ValProbe<ValDomainTag>;
+  const std::uint64_t skips_before = Probe::Get().counter_skips;
+  typename F::FullTx tx;
+  tx.Start();
+  EXPECT_EQ(DecodeInt(tx.Read(&a)), 1u);
+  EXPECT_EQ(DecodeInt(tx.Read(&b)), 2u);
+  EXPECT_EQ(DecodeInt(tx.Read(&c)), 3u);
+  const std::uint32_t ewma = stats.skip_ewma_q16.load(std::memory_order_relaxed);
+  EXPECT_TRUE(tx.Commit());
+  EXPECT_EQ(Probe::Get().counter_skips - skips_before, 2u)
+      << "the quiet reads did not skip, so the EWMA saw no consult";
+  return ewma;
+}
+
+TEST(StrategyIsolation, FixedFamilySkipsLeaveTheAdaptiveEwmaAlone) {
+  EXPECT_EQ(SkipEwmaAfterQuietThreeReadTx<ValPart>(), 30000u)
+      << "a fixed-strategy family fed the adaptive skip-efficacy EWMA";
+}
+
+TEST(StrategyIsolation, AdaptiveSkipsStillFeedTheEwma) {
+  EXPECT_GT(SkipEwmaAfterQuietThreeReadTx<ValAdaptive>(), 30000u)
+      << "ValAdaptive's skips no longer feed its efficacy EWMA";
 }
 
 }  // namespace

@@ -741,6 +741,67 @@ TEST(SchedExploreMvcc, ElidingTransferNeverMakesABystanderFirstScanRefresh) {
   ExploreElidingTransfer(/*bystander_first=*/true);
 }
 
+// (6) Write promotion against a bystander committing over a snapshot read.
+// The transfer reads x and y at its snapshot and promotes at its first write;
+// the bystander adds 100 to x in its own transaction. Both commit on every
+// schedule, so x ends at 109 and y at 1 whichever goes first; a transfer that
+// promoted over a stale x would write 9 over the bystander's 110. The
+// dangerous schedule pauses the bystander between its stripe bump and its
+// global bump (kPreBump): the transfer's anchor then counts the stripe bump,
+// its snapshot does not count the commit, and x's read comes from a version
+// node, which the promotion must walk rather than prove by a stripe skip.
+TEST(SchedExploreMvcc, PromotionNeverCommitsAStaleSnapshotRead) {
+  static ValSnap::Slot xs, ys;
+  ValSnap::Slot* x = &xs;
+  ValSnap::Slot* y = &ys;
+  auto make_bodies = [&]() {
+    ValSnap::SingleWrite(x, EncodeInt(10));
+    ValSnap::SingleWrite(y, EncodeInt(0));
+    std::vector<std::function<void()>> bodies;
+    bodies.push_back([&] {  // transfer: one unit from x to y
+      ValSnap::Full::Atomically([&](ValSnap::FullTx& tx) {
+        const Word vx = tx.Read(x);
+        if (!tx.ok()) {
+          return;
+        }
+        const Word vy = tx.Read(y);
+        if (!tx.ok()) {
+          return;
+        }
+        tx.Write(x, EncodeInt(DecodeInt(vx) - 1));
+        tx.Write(y, EncodeInt(DecodeInt(vy) + 1));
+      });
+    });
+    bodies.push_back([&] {  // bystander: x += 100
+      ValSnap::Full::Atomically([&](ValSnap::FullTx& tx) {
+        const Word vx = tx.Read(x);
+        if (!tx.ok()) {
+          return;
+        }
+        tx.Write(x, EncodeInt(DecodeInt(vx) + 100));
+      });
+    });
+    return bodies;
+  };
+  auto check = [&] {
+    return DecodeInt(ValSnap::SingleRead(x)) == 109u &&
+           DecodeInt(ValSnap::SingleRead(y)) == 1u;
+  };
+  failpoint::ResetSiteHits();
+  Explorer::Options opt;
+  opt.preemption_bound = 2;
+  opt.stop_on_violation = true;
+  const Explorer::Result res = Explorer::Explore(make_bodies, check, opt);
+  EXPECT_FALSE(res.violation_found)
+      << "a promotion committed a stale snapshot read on: "
+      << sched::FormatTrace(res.violation_trace);
+  EXPECT_TRUE(res.frontier_exhausted);
+  EXPECT_EQ(res.divergences, 0u);
+  EXPECT_EQ(res.truncated, 0u);
+  EXPECT_GT(res.schedules, 10u);
+  EXPECT_GT(failpoint::SiteHits(failpoint::Site::kPreBump), 0u);
+}
+
 // ---- Replay determinism on a real engine schedule ----------------------------------
 //
 // Same seed => identical decision trace, identical body-retry counters,

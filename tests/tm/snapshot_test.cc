@@ -187,6 +187,106 @@ TEST(SnapshotPromotion, ShortFirstLockValidatesSnapshotLog) {
   EXPECT_EQ(DecodeInt(F::SingleRead(&out)), 42u);
 }
 
+// A quiet promotion is proven by the skip ladder, not a walk: the anchor is
+// drawn before the pin, so with no commit since it over a logged slot the
+// in-place snapshot reads are exactly the log ordinary reads would have built.
+// Each API promotes (x read at the snapshot, then a write to out) with the
+// probe deltas across the promotion alone.
+struct FullPromotion {
+  F::FullTx tx;
+  FullPromotion() { tx.Start(); }
+  Word Read(F::Slot* s) { return tx.Read(s); }
+  void Write(F::Slot* s, Word v) { tx.Write(s, v); }  // promotes
+  bool ok() const { return tx.ok(); }
+  bool Commit() { return tx.Commit(); }
+};
+
+struct ShortPromotion {
+  F::ShortTx tx;
+  Word out_value = 0;
+  Word Read(F::Slot* s) { return tx.ReadRo(s); }
+  void Write(F::Slot* s, Word v) {  // the first lock promotes
+    (void)tx.ReadRw(s);
+    out_value = v;
+  }
+  bool ok() const { return tx.Valid(); }
+  bool Commit() { return tx.CommitMixed({out_value}); }
+};
+
+// A slot whose counter stripe differs from x's: 64 KiB of slots spans every
+// 4 KiB stripe region.
+F::Slot* OtherStripeSlot(const F::Slot& x) {
+  static F::Slot pool[4096];
+  for (F::Slot& s : pool) {
+    if (CounterStripeOf(&s.word) != CounterStripeOf(&x.word)) {
+      return &s;
+    }
+  }
+  return nullptr;
+}
+
+// Promotes after reading x at the snapshot; `bystander` (if any) commits
+// between that read and the write. Returns the probe deltas of the promotion.
+template <typename Promotion>
+Probe::Counters PromoteAndCommit(F::Slot* x, F::Slot* out, F::Slot* bystander) {
+  F::SingleWrite(x, EncodeInt(5));
+  F::SingleWrite(out, EncodeInt(1));
+  Promotion tx;
+  const Word vx = tx.Read(x);
+  EXPECT_EQ(DecodeInt(vx), 5u);
+  if (bystander != nullptr) {
+    F::SingleWrite(bystander, EncodeInt(7));
+  }
+  const Probe::Counters before = Probe::Get();
+  tx.Write(out, EncodeInt(DecodeInt(vx) + 10));
+  const Probe::Counters after = Probe::Get();
+  EXPECT_TRUE(tx.ok());
+  EXPECT_TRUE(tx.Commit());
+  EXPECT_EQ(DecodeInt(F::SingleRead(out)), 15u);
+  Probe::Counters d;
+  d.validation_walks = after.validation_walks - before.validation_walks;
+  d.counter_skips = after.counter_skips - before.counter_skips;
+  d.stripe_skips = after.stripe_skips - before.stripe_skips;
+  d.bloom_skips = after.bloom_skips - before.bloom_skips;
+  return d;
+}
+
+template <typename Promotion>
+void ExpectQuietPromotionSkips() {
+  static F::Slot x, out;
+  const Probe::Counters d = PromoteAndCommit<Promotion>(&x, &out, nullptr);
+  EXPECT_EQ(d.validation_walks, 0u) << "a quiet promotion walked its log";
+  EXPECT_EQ(d.counter_skips, 1u);
+}
+
+template <typename Promotion>
+void ExpectOtherStripePromotionSkips() {
+  static F::Slot x, out;
+  F::Slot* bystander = OtherStripeSlot(x);
+  ASSERT_NE(bystander, nullptr);
+  const Probe::Counters d = PromoteAndCommit<Promotion>(&x, &out, bystander);
+  EXPECT_EQ(d.validation_walks, 0u)
+      << "a commit in another stripe made the promotion walk";
+  EXPECT_EQ(d.counter_skips, 0u) << "the bystander did not move the counter";
+  EXPECT_EQ(d.stripe_skips + d.bloom_skips, 1u);
+}
+
+TEST(SnapshotPromotion, QuietPromotionSkipsTheWalk) {
+  ExpectQuietPromotionSkips<FullPromotion>();
+}
+
+TEST(SnapshotPromotion, ShortQuietPromotionSkipsTheWalk) {
+  ExpectQuietPromotionSkips<ShortPromotion>();
+}
+
+TEST(SnapshotPromotion, OtherStripeCommitStillSkipsTheWalk) {
+  ExpectOtherStripePromotionSkips<FullPromotion>();
+}
+
+TEST(SnapshotPromotion, ShortOtherStripeCommitStillSkipsTheWalk) {
+  ExpectOtherStripePromotionSkips<ShortPromotion>();
+}
+
 // --- Chain bound: overflow fallback and retirement ----------------------------------
 
 // A snapshot attempt through either engine: both read through one
